@@ -80,14 +80,12 @@ from .solvers import SolverConfig, fit_clw_score, fit_pooled_logistic, score_at
 from .variance import (
     VarianceBreakdown,
     compute_b_hat,
-    compute_b_hat_participation,
     design_variance_iid,
     design_variance_poisson,
     design_variance_stratified,
     fixed_weight_variance,
     tl_variance,
     variance_cohort_component,
-    variance_cohort_component_participation,
 )
 
 __version__ = "0.1.0"

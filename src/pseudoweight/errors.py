@@ -20,13 +20,15 @@ class NonConvergenceError(PseudoweightError):
     """A solver failed to drive the estimating equation below tolerance.
 
     Usually signals separation in the membership response or a score that
-    step-halving cannot improve further.
+    step-halving cannot improve further.  ``coefficients`` holds the last
+    accepted iterate when the failure came from the Newton loop.
     """
 
-    def __init__(self, message, score_norm=None, iterations=None):
+    def __init__(self, message, score_norm=None, iterations=None, coefficients=None):
         super().__init__(message)
         self.score_norm = score_norm
         self.iterations = iterations
+        self.coefficients = coefficients
 
 
 class SingularSystemError(PseudoweightError):

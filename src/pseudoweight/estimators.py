@@ -41,6 +41,7 @@ import numpy as np
 from .errors import DomainError, EmptyInputError, ValidationError
 from .samples import (
     CohortSample,
+    FitFlavor,
     PropensityFit,
     SurveySample,
     build_pooled_matrix,
@@ -111,16 +112,10 @@ def fdw_weights(p_hat_cohort: np.ndarray) -> np.ndarray:
     return 1.0 / p_hat_cohort
 
 
-def rdw_weights(p_hat_cohort: np.ndarray) -> np.ndarray:
-    """Reciprocal fitted probability from the rescaled-weight pooled fit.
-
-    With the survey weights rescaled to represent the out-of-cohort
-    population, the pooled set stands in for the whole population and the
-    fitted membership probability estimates the participation rate itself;
-    its reciprocal is the weight.
-    """
-    _check_probs(p_hat_cohort)
-    return 1.0 / p_hat_cohort
+# The rescaled-weight pooled fit makes the pooled set stand in for the whole
+# population, so its fitted membership probability estimates the
+# participation rate itself and the weight is again its reciprocal.
+rdw_weights = fdw_weights
 
 
 def clw_weights(gamma_hat: np.ndarray, cohort_X: np.ndarray) -> np.ndarray:
@@ -155,6 +150,29 @@ def hajek_mean(y: np.ndarray, weights: np.ndarray) -> float:
     return float(np.sum(w * y) / total)
 
 
+def fit_key(
+    method: Method,
+    cohort: CohortSample,
+    survey: SurveySample,
+    lambda_rule: float | None = None,
+):
+    """The fit a method needs as ``(flavor, survey-weight multiplier)``, or
+    None for naive and tw.  Methods with equal keys share one fit; ``rdw``'s
+    key raises :class:`RescaleError` when its factor would be nonpositive."""
+    if method in (Method.NAIVE, Method.TW):
+        return None
+    if method in (Method.ALP, Method.FDW):
+        return FitFlavor.POOLED_MEMBERSHIP, 1.0
+    if method is Method.RDW:
+        return FitFlavor.POOLED_MEMBERSHIP, rdw_rescale_factor(cohort.n_c, survey.d)
+    if method is Method.ALPS:
+        lam = default_lambda(cohort.n_c, survey.d) if lambda_rule is None else lambda_rule
+        return FitFlavor.POOLED_MEMBERSHIP, lam
+    if method is Method.CLW:
+        return FitFlavor.CLW_SCORE, 1.0
+    raise ValueError(f"unknown method {method!r}")  # pragma: no cover
+
+
 def fit_for_method(
     method: Method,
     cohort: CohortSample,
@@ -162,24 +180,15 @@ def fit_for_method(
     config: SolverConfig | None = None,
     lambda_rule: float | None = None,
 ) -> PropensityFit | None:
-    """Run the propensity fit a method needs (None for naive/tw).
-
-    ``alp`` and ``fdw`` share the identity-weight pooled fit, so callers
-    estimating both can reuse the returned fit.
-    """
-    if method in (Method.NAIVE, Method.TW):
+    """Run the propensity fit a method needs (None for naive/tw); methods
+    with the same :func:`fit_key` (``alp`` and ``fdw``) get the same fit."""
+    key = fit_key(method, cohort, survey, lambda_rule)
+    if key is None:
         return None
-    if method in (Method.ALP, Method.FDW):
-        return fit_pooled_logistic(build_pooled_matrix(cohort, survey, 1.0), config)
-    if method is Method.RDW:
-        factor = rdw_rescale_factor(cohort.n_c, survey.d)
-        return fit_pooled_logistic(build_pooled_matrix(cohort, survey, factor), config)
-    if method is Method.ALPS:
-        lam = default_lambda(cohort.n_c, survey.d) if lambda_rule is None else lambda_rule
-        return fit_pooled_logistic(build_pooled_matrix(cohort, survey, lam), config)
-    if method is Method.CLW:
+    flavor, multiplier = key
+    if flavor is FitFlavor.CLW_SCORE:
         return fit_clw_score(cohort, survey, config)
-    raise ValueError(f"unknown method {method!r}")  # pragma: no cover
+    return fit_pooled_logistic(build_pooled_matrix(cohort, survey, multiplier), config)
 
 
 def _interval(mu: float, var: float | None):
@@ -235,11 +244,8 @@ def estimate_from_fit(
         if n_above:
             warnings.append(f"pi-hat-above-one: {n_above}")
         w = alp_weights(fit.p_hat_cohort, spec.truncate_pi_at_one)
-    elif method is Method.FDW:
+    elif method in (Method.FDW, Method.RDW):
         w = fdw_weights(fit.p_hat_cohort)
-        warnings.append("variance-approximation: membership-form plug-in reused")
-    elif method is Method.RDW:
-        w = rdw_weights(fit.p_hat_cohort)
         warnings.append("variance-approximation: membership-form plug-in reused")
     elif method is Method.ALPS:
         w = alps_weights(fit.beta, cohort.X)

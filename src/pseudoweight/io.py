@@ -69,9 +69,11 @@ def _read_rows(path, needed):
 
 
 def _parse_columns(path, rows, needed, label_cols=()):
-    """Parse the declared numeric columns; rows with an empty value in any
-    declared column (numeric or label) are skipped and reported."""
+    """Parse the declared numeric columns and collect the label columns as
+    strings; rows with an empty value in any declared column (numeric or
+    label) are skipped and reported."""
     parsed = {c: [] for c in needed}
+    labels = {c: [] for c in label_cols}
     skipped = []
     for i, row in enumerate(rows, start=2):  # data starts on line 2
         cells = {c: (row.get(c) or "").strip() for c in needed}
@@ -88,6 +90,8 @@ def _parse_columns(path, rows, needed, label_cols=()):
                 raise ParseError(
                     f"{path}: row {i}, column {c!r}: cannot parse {raw!r} as a number"
                 ) from None
+        for c, raw in label_cells.items():
+            labels[c].append(raw)
     if skipped:
         _warnings.warn(
             f"{path}: skipped {len(skipped)} row(s) with missing declared "
@@ -98,7 +102,8 @@ def _parse_columns(path, rows, needed, label_cols=()):
         )
     if not parsed[needed[0]]:
         raise EmptyFileError(f"{path}: every data row was missing a declared field")
-    return {c: np.array(v) for c, v in parsed.items()}, skipped
+    data = {c: np.array(v) for c, v in parsed.items()}
+    return data, {c: np.array(v, dtype=object) for c, v in labels.items()}
 
 
 def ingest_delimited(
@@ -125,18 +130,10 @@ def ingest_delimited(
     label_cols = [c for c in (stratum, psu) if c]
     rows = _read_rows(path, needed + label_cols)
 
-    data, skipped = _parse_columns(path, rows, needed, label_cols)
+    data, labels = _parse_columns(path, rows, needed, label_cols)
     X = np.column_stack(
         [np.ones(len(data[covariates[0]]))] + [data[c] for c in covariates]
     )
-
-    labels = {}
-    if label_cols:
-        keep = [i for i, row in enumerate(rows, start=2) if i not in set(skipped)]
-        for c in label_cols:
-            labels[c] = np.array(
-                [(rows[i - 2].get(c) or "").strip() for i in keep], dtype=object
-            )
 
     if weight:
         return SurveySample(

@@ -26,12 +26,11 @@ from .errors import (
     CellInfeasibleError,
     DomainError,
     InfeasibleTargetError,
-    InfeasibleTotalsError,
     InsufficientReplicatesError,
     NonConvergenceError,
-    SingularSystemError,
+    PseudoweightError,
 )
-from .estimators import Method, MethodSpec, estimate_from_fit, fit_for_method
+from .estimators import Method, MethodSpec, estimate_from_fit, fit_for_method, fit_key
 from .samples import CohortSample, DesignInfo, DesignKind, SurveySample
 from .solvers import SolverConfig
 
@@ -304,9 +303,6 @@ class SimulationReport:
     cells: tuple = ()
 
 
-_FIT_ERRORS = (NonConvergenceError, SingularSystemError, InfeasibleTotalsError)
-
-
 def _replicate_seed(base_seed: int, scenario: Scenario, f_c: float, rep: int):
     key = (scenario.code, int(round(f_c * 10_000)), rep)
     return np.random.default_rng(np.random.SeedSequence(entropy=base_seed, spawn_key=key))
@@ -352,8 +348,6 @@ def _run_cell(
                 n = 1
             warn_counts[method][key] = warn_counts[method].get(key, 0) + n
 
-    needs_identity = any(m in (Method.ALP, Method.FDW) for m in methods)
-
     for rep in range(replicates):
         rng = _replicate_seed(base_seed, cell.scenario, cell.f_c_target, rep)
         inc_c = rng.random(population.N) < pi_c
@@ -368,61 +362,41 @@ def _run_cell(
         pi_true = pi_c[inc_c]
         cohort_sizes.append(cohort.n_c)
 
-        fits = {}
-        fit_failed = {}
-        if needs_identity:
-            try:
-                fits["identity"] = fit_for_method(Method.ALP, cohort, survey, solver)
-            except _FIT_ERRORS as exc:
-                fit_failed["identity"] = exc
-        for m, key in ((Method.RDW, "rdw"), (Method.ALPS, "alps"), (Method.CLW, "clw")):
-            if m in methods:
-                try:
-                    fits[key] = fit_for_method(m, cohort, survey, solver)
-                except _FIT_ERRORS as exc:
-                    fit_failed[key] = exc
-
+        # one fit per fit key; a failed fit is kept as its error, so every
+        # method that needs it is excluded without refitting
+        fits = {None: None}
         for m in methods:
-            key = {
-                Method.ALP: "identity",
-                Method.FDW: "identity",
-                Method.RDW: "rdw",
-                Method.ALPS: "alps",
-                Method.CLW: "clw",
-            }.get(m)
-            if key is not None and key in fit_failed:
+            try:
+                key = fit_key(m, cohort, survey)
+                if key not in fits:
+                    try:
+                        fits[key] = fit_for_method(m, cohort, survey, solver)
+                    except PseudoweightError as exc:
+                        fits[key] = exc
+                if isinstance(fits[key], PseudoweightError):
+                    raise fits[key]
+                result = estimate_from_fit(
+                    MethodSpec(method=m),
+                    fits[key],
+                    cohort,
+                    survey,
+                    true_participation=pi_true if m is Method.TW else None,
+                )
+            except PseudoweightError:
                 excluded[m] += 1
                 continue
-            result = estimate_from_fit(
-                MethodSpec(method=m),
-                fits.get(key),
-                cohort,
-                survey,
-                true_participation=pi_true if m is Method.TW else None,
-            )
             est[m].append(result.mu_hat)
             note_warnings(m, result.warnings)
-            if result.var_hat is None:
-                var[m].append(None)
-                hits[m].append(None)
-            else:
+            if result.var_hat is not None:
                 var[m].append(result.var_hat)
-                covered = (
-                    result.ci_low is not None
-                    and np.isfinite(result.ci_low)
-                    and result.ci_low <= population.mu <= result.ci_high
+                covered = np.isfinite(result.ci_low) and (
+                    result.ci_low <= population.mu <= result.ci_high
                 )
                 hits[m].append(bool(covered))
 
     results = []
     for m in methods:
-        has_var = any(v is not None for v in var[m])
-        metrics = compute_metrics(
-            est[m],
-            [v for v in var[m] if v is not None] if has_var else None,
-            [h for h in hits[m] if h is not None] if has_var else None,
-            population.mu,
-        )
+        metrics = compute_metrics(est[m], var[m] or None, hits[m] or None, population.mu)
         results.append(
             CellResult(
                 scenario=cell.scenario.value,
@@ -467,7 +441,8 @@ def run_monte_carlo(
 ) -> SimulationReport:
     """Run the full study grid and aggregate per-cell metrics.
 
-    Replicates whose propensity fit does not converge are excluded from that
+    A replicate on which a method raises a package error (in its fit key,
+    its propensity fit, or its weights and variance) is excluded from that
     method's aggregates and counted in ``n_excluded``.  Cells that cannot be
     calibrated raise :class:`CellInfeasibleError`.
     """

@@ -10,14 +10,16 @@ The pooled membership system,
     sum_cohort w (1 - p) x  -  sum_survey w p x  =  0,   p = expit(beta . x),
 
 is the score of a weighted logistic regression of the membership indicator
-on the covariates, and is solved by iteratively reweighted least squares.
-The second system,
+on the covariates.  The participation-rate system,
 
     sum_cohort x  -  sum_survey d pi x  =  0,   pi = expit(gamma . x),
 
-is *not* a logistic score: its Jacobian sums over the survey side only.  It
-is solved by Newton-Raphson.  Both solvers use step halving so the score
-max-norm is non-increasing across accepted iterates.
+is *not* a logistic score: its Jacobian sums over the survey side only.
+Both are solved by one damped Newton loop, :func:`_damped_newton`, which
+takes the system's score and Jacobian and halves each step until the score
+max-norm decreases, so the norm is non-increasing across accepted iterates.
+Every fit starts from zero coefficients, where each fitted probability is
+one half.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ from .samples import CohortSample, FitFlavor, PooledMatrix, PropensityFit, Surve
 # continued growth means the score cannot be zeroed (infeasible totals).
 _DIVERGENCE_BOUND = 30.0
 _MAX_CONDITION = 1e12
+_STEP_HALVING_MAX = 20
 
 
 @dataclass(frozen=True)
@@ -41,14 +44,11 @@ class SolverConfig:
     """Settings shared by both solvers.
 
     ``tol`` bounds the max-norm of the score divided by the pooled row
-    count.  ``init`` is the starting coefficient vector (zeros when None,
-    which puts every fitted probability at one half).
+    count; ``max_iter`` bounds the number of Newton steps.
     """
 
     tol: float = 1e-10
     max_iter: int = 50
-    step_halving_max: int = 20
-    init: np.ndarray | None = None
 
     def __post_init__(self):
         if self.tol <= 0:
@@ -57,16 +57,18 @@ class SolverConfig:
             raise ValueError("max_iter must be at least 1")
 
 
-def _solve_newton_system(H: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """Solve H delta = g, refusing rank-deficient systems."""
-    if not np.all(np.isfinite(H)):
-        raise SingularSystemError("normal-equation matrix contains non-finite entries")
-    if np.linalg.cond(H) > _MAX_CONDITION:
+def _guarded_solve(A: np.ndarray, rhs: np.ndarray, label: str) -> np.ndarray:
+    """Solve ``A x = rhs``, refusing non-finite or rank-deficient systems
+    rather than falling back to a pseudo-inverse.  ``label`` names the
+    system in the error message."""
+    if not np.all(np.isfinite(A)):
+        raise SingularSystemError(f"{label} contains non-finite entries")
+    if np.linalg.cond(A) > _MAX_CONDITION:
         raise SingularSystemError(
-            "normal-equation matrix is rank deficient (condition number "
-            f"exceeds {_MAX_CONDITION:g}); check for collinear covariates"
+            f"{label} is rank deficient (condition number exceeds "
+            f"{_MAX_CONDITION:g}); check for collinear covariates"
         )
-    return np.linalg.solve(H, g)
+    return np.linalg.solve(A, rhs)
 
 
 def _check_probabilities(p: np.ndarray, what: str) -> None:
@@ -75,6 +77,58 @@ def _check_probabilities(p: np.ndarray, what: str) -> None:
             f"fitted {what} probabilities reached 0 or 1 exactly; "
             "the linear predictor is saturated (separation?)"
         )
+
+
+def _damped_newton(
+    evaluate, jacobian, n_coef: int, n_rows: int, config: SolverConfig, what: str
+):
+    """Zero a score by Newton steps halved until its max-norm decreases.
+
+    ``evaluate(x)`` returns the raw score at ``x`` and the probabilities it
+    used, from which ``jacobian`` builds the Newton matrix.  Returns the
+    solution, the step count and the score-norm path; a failure raises
+    :class:`NonConvergenceError` carrying the last accepted coefficients.
+    """
+    x = np.zeros(n_coef)
+    score, probs = evaluate(x)
+    norm = float(np.abs(score).max()) / n_rows
+    path = [norm]
+
+    iterations = 0
+    for iterations in range(1, config.max_iter + 1):
+        if norm <= config.tol:
+            iterations -= 1
+            break
+        delta = _guarded_solve(jacobian(probs), score, "normal-equation matrix")
+
+        step = 1.0
+        for _ in range(_STEP_HALVING_MAX + 1):
+            cand = x + step * delta
+            score_cand, probs_cand = evaluate(cand)
+            norm_cand = float(np.abs(score_cand).max()) / n_rows
+            if norm_cand < norm:
+                x, probs, score, norm = cand, probs_cand, score_cand, norm_cand
+                path.append(norm)
+                break
+            step *= 0.5
+        else:
+            raise NonConvergenceError(
+                f"step halving exhausted without improving the {what} score "
+                f"(norm {norm:.3e})",
+                score_norm=norm,
+                iterations=iterations,
+                coefficients=x,
+            )
+
+    if norm > config.tol:
+        raise NonConvergenceError(
+            f"{what}-score fit did not converge in {config.max_iter} iterations "
+            f"(score norm {norm:.3e} > tol {config.tol:.1e})",
+            score_norm=norm,
+            iterations=config.max_iter,
+            coefficients=x,
+        )
+    return x, iterations, path
 
 
 def fit_pooled_logistic(pooled: PooledMatrix, config: SolverConfig | None = None) -> PropensityFit:
@@ -91,58 +145,20 @@ def fit_pooled_logistic(pooled: PooledMatrix, config: SolverConfig | None = None
     SingularSystemError
         The iteratively reweighted normal equations are rank deficient.
     """
-    config = config or SolverConfig()
     X, R, w = pooled.X, pooled.R, pooled.w
-    n_rows = X.shape[0]
-    beta = (
-        np.zeros(X.shape[1])
-        if config.init is None
-        else np.asarray(config.init, dtype=float).copy()
+
+    def evaluate(beta):
+        p = expit(X @ beta)
+        return X.T @ (w * (R - p)), p
+
+    def jacobian(p):
+        return X.T @ ((w * p * (1.0 - p))[:, None] * X)
+
+    beta, iterations, path = _damped_newton(
+        evaluate, jacobian, X.shape[1], X.shape[0], config or SolverConfig(), "membership"
     )
-
-    p = expit(X @ beta)
-    score = X.T @ (w * (R - p))
-    norm = float(np.abs(score).max()) / n_rows
-    path = [norm]
-
-    iterations = 0
-    for iterations in range(1, config.max_iter + 1):
-        if norm <= config.tol:
-            iterations -= 1
-            break
-        W = w * p * (1.0 - p)
-        H = X.T @ (W[:, None] * X)
-        delta = _solve_newton_system(H, score)
-
-        step = 1.0
-        for _ in range(config.step_halving_max + 1):
-            cand = beta + step * delta
-            p_cand = expit(X @ cand)
-            score_cand = X.T @ (w * (R - p_cand))
-            norm_cand = float(np.abs(score_cand).max()) / n_rows
-            if norm_cand < norm:
-                beta, p, score, norm = cand, p_cand, score_cand, norm_cand
-                path.append(norm)
-                break
-            step *= 0.5
-        else:
-            raise NonConvergenceError(
-                "step halving exhausted without improving the membership score "
-                f"(norm {norm:.3e}); the data may be separated",
-                score_norm=norm,
-                iterations=iterations,
-            )
-
-    if norm > config.tol:
-        raise NonConvergenceError(
-            f"pooled logistic fit did not converge in {config.max_iter} iterations "
-            f"(score norm {norm:.3e} > tol {config.tol:.1e})",
-            score_norm=norm,
-            iterations=config.max_iter,
-        )
-
-    p_cohort = expit(pooled.X[: pooled.n_c] @ beta)
-    p_survey = expit(pooled.X[pooled.n_c :] @ beta)
+    p_cohort = expit(X[: pooled.n_c] @ beta)
+    p_survey = expit(X[pooled.n_c :] @ beta)
     _check_probabilities(p_cohort, "cohort")
     _check_probabilities(p_survey, "survey")
     return PropensityFit(
@@ -152,7 +168,7 @@ def fit_pooled_logistic(pooled: PooledMatrix, config: SolverConfig | None = None
         flavor=FitFlavor.POOLED_MEMBERSHIP,
         lam=pooled.lam,
         iterations=iterations,
-        final_score_norm=norm,
+        final_score_norm=path[-1],
         score_norm_path=tuple(path),
     )
 
@@ -171,13 +187,12 @@ def fit_clw_score(
     InfeasibleTotalsError
         The cohort totals exceed what any probability below one can
         reproduce on the weighted survey (detected up front for the
-        intercept and by coefficient divergence otherwise).
+        intercept, and by coefficient divergence when the Newton loop
+        fails; the loop's :class:`NonConvergenceError` is the cause).
     NonConvergenceError, SingularSystemError
         As for the pooled fit.
     """
-    config = config or SolverConfig()
     Xc, Xp, d = cohort.X, survey.X, survey.d
-    n_rows = Xc.shape[0] + Xp.shape[0]
     sum_d = float(np.sum(d))
     if cohort.n_c >= sum_d:
         raise InfeasibleTotalsError(
@@ -185,70 +200,28 @@ def fit_clw_score(
             f"total {sum_d:.1f}; no participation probabilities below one can "
             "reproduce the cohort count"
         )
-
     target = Xc.sum(axis=0)
-    gamma = (
-        np.zeros(Xc.shape[1])
-        if config.init is None
-        else np.asarray(config.init, dtype=float).copy()
-    )
 
-    def raw_score(g):
-        return target - (d * expit(Xp @ g)) @ Xp
-
-    score = raw_score(gamma)
-    norm = float(np.abs(score).max()) / n_rows
-    path = [norm]
-
-    def diverged(g):
-        return float(np.abs(g).max()) > _DIVERGENCE_BOUND
-
-    iterations = 0
-    for iterations in range(1, config.max_iter + 1):
-        if norm <= config.tol:
-            iterations -= 1
-            break
+    def evaluate(gamma):
         pi = expit(Xp @ gamma)
-        J = Xp.T @ ((d * pi * (1.0 - pi))[:, None] * Xp)
-        delta = _solve_newton_system(J, score)
+        return target - (d * pi) @ Xp, pi
 
-        step = 1.0
-        for _ in range(config.step_halving_max + 1):
-            cand = gamma + step * delta
-            score_cand = raw_score(cand)
-            norm_cand = float(np.abs(score_cand).max()) / n_rows
-            if norm_cand < norm:
-                gamma, score, norm = cand, score_cand, norm_cand
-                path.append(norm)
-                break
-            step *= 0.5
-        else:
-            if diverged(gamma):
-                raise InfeasibleTotalsError(
-                    "coefficients diverged while the score stayed at "
-                    f"{norm:.3e}; the cohort covariate totals are infeasible "
-                    "for the weighted survey"
-                )
-            raise NonConvergenceError(
-                "step halving exhausted without improving the participation "
-                f"score (norm {norm:.3e})",
-                score_norm=norm,
-                iterations=iterations,
-            )
+    def jacobian(pi):
+        return Xp.T @ ((d * pi * (1.0 - pi))[:, None] * Xp)
 
-    if norm > config.tol:
-        if diverged(gamma):
+    n_rows = Xc.shape[0] + Xp.shape[0]
+    try:
+        gamma, iterations, path = _damped_newton(
+            evaluate, jacobian, Xc.shape[1], n_rows, config or SolverConfig(), "participation"
+        )
+    except NonConvergenceError as exc:
+        if float(np.abs(exc.coefficients).max()) > _DIVERGENCE_BOUND:
             raise InfeasibleTotalsError(
                 "coefficients diverged while the score stayed at "
-                f"{norm:.3e}; the cohort covariate totals are infeasible "
-                "for the weighted survey"
-            )
-        raise NonConvergenceError(
-            f"participation-score fit did not converge in {config.max_iter} "
-            f"iterations (score norm {norm:.3e} > tol {config.tol:.1e})",
-            score_norm=norm,
-            iterations=config.max_iter,
-        )
+                f"{exc.score_norm:.3e}; the cohort covariate totals are "
+                "infeasible for the weighted survey"
+            ) from exc
+        raise
 
     pi_cohort = expit(Xc @ gamma)
     pi_survey = expit(Xp @ gamma)
@@ -261,7 +234,7 @@ def fit_clw_score(
         flavor=FitFlavor.CLW_SCORE,
         lam=1.0,
         iterations=iterations,
-        final_score_norm=norm,
+        final_score_norm=path[-1],
         score_norm_path=tuple(path),
     )
 

@@ -6,18 +6,20 @@ The variance of a pseudo-weighted mean splits into a cohort-side component
 coefficient transferring propensity-coefficient noise into the mean and
 ``D`` estimates the design variance of the survey total of ``d * p * x``.
 
-Two cohort-side forms are implemented, matching the two estimating-equation
-systems:
+One linearization form serves both estimating-equation systems.  ``b``
+solves ``(sum a x x') b = sum u (y - mu) x`` over cohort rows, and the
+cohort component sums ``factor * ((y - mu)/p - b.x)^2``; the two systems
+differ only in these per-unit arrays:
 
-* membership form, for fits of the pooled membership model (uses the
-  factor ``(1 - p)(1 - 2p)`` and residuals ``(y - mu)/p - b.x``);
-* participation form, for participation-rate score fits (factor ``1 - pi``
-  and residuals ``(y - mu)/pi - b.x``).
+* membership fits (pooled membership model): ``a = w p``, ``u = w``,
+  ``factor = (1 - p)(1 - 2p)``, with ``w`` the pseudo-weights;
+* participation-score fits: ``a = 1 - pi``, ``u = (1 - pi)/pi``,
+  ``factor = 1 - pi``.
 
 Sample sums that stand in for population totals are inverse-participation
-weighted.  With ``weights=None`` the membership-form helpers fall back to
-unweighted cohort sums; the estimators always pass the pseudo-weights, which
-is what keeps the variance ratio near one in simulation.
+weighted: the membership arrays carry the pseudo-weights, which is what
+keeps the variance ratio near one in simulation (unit weights, ``a = p``
+and ``u = 1``, give unweighted cohort sums instead).
 
 All design matrices are normalized by the squared total of the (effective)
 survey weights.  When a fit scaled the survey weights by a constant, that
@@ -31,8 +33,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DesignError, SingularSystemError
+from .errors import DesignError
 from .samples import CohortSample, DesignKind, PropensityFit, FitFlavor, SurveySample
+from .solvers import _guarded_solve
 
 
 @dataclass(frozen=True)
@@ -52,81 +55,38 @@ class VarianceBreakdown:
     warnings: tuple = ()
 
 
-def _solve_spd(A: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    if not np.all(np.isfinite(A)):
-        raise SingularSystemError("linearization system contains non-finite entries")
-    if np.linalg.cond(A) > 1e12:
-        raise SingularSystemError(
-            "linearization system is rank deficient; check for collinear covariates"
-        )
-    return np.linalg.solve(A, rhs)
-
-
 def compute_b_hat(
-    cohort: CohortSample,
-    p_hat_cohort: np.ndarray,
-    mu_hat: float,
-    weights: np.ndarray | None = None,
+    cohort: CohortSample, a: np.ndarray, u: np.ndarray, mu_hat: float
 ) -> np.ndarray:
-    """Linearization coefficient for membership-model fits.
+    """Linearization coefficient ``b`` for either fit flavor.
 
-    Solves ``(sum w p x x') b = sum w (y - mu) x`` over cohort rows without
-    forming an explicit inverse.  ``weights`` are the pseudo-weights used to
-    estimate population totals from the cohort; ``None`` means unweighted
-    sums.
-    """
-    w = np.ones(cohort.n_c) if weights is None else np.asarray(weights, dtype=float)
-    X = cohort.X
-    A = X.T @ ((w * p_hat_cohort)[:, None] * X)
-    rhs = (w * (cohort.y - mu_hat)) @ X
-    return _solve_spd(A, rhs)
-
-
-def compute_b_hat_participation(
-    cohort: CohortSample, pi_hat_cohort: np.ndarray, mu_hat: float
-) -> np.ndarray:
-    """Linearization coefficient for participation-score fits.
-
-    Population sums are estimated from the cohort with inverse-participation
-    weights, giving ``(sum (1 - pi) x x') b = sum ((1 - pi)/pi) (y - mu) x``.
+    Solves ``(sum a x x') b = sum u (y - mu) x`` over cohort rows without
+    forming an explicit inverse; the per-unit arrays ``a`` and ``u`` are
+    listed per flavor in the module docstring.
     """
     X = cohort.X
-    A = X.T @ ((1.0 - pi_hat_cohort)[:, None] * X)
-    rhs = (((1.0 - pi_hat_cohort) / pi_hat_cohort) * (cohort.y - mu_hat)) @ X
-    return _solve_spd(A, rhs)
+    A = X.T @ (a[:, None] * X)
+    rhs = (u * (cohort.y - mu_hat)) @ X
+    return _guarded_solve(A, rhs, "linearization system")
 
 
 def variance_cohort_component(
     cohort: CohortSample,
     p_hat_cohort: np.ndarray,
+    factor: np.ndarray,
     weights: np.ndarray,
     mu_hat: float,
     b_hat: np.ndarray,
 ) -> float:
-    """Cohort-side variance plug-in for membership-model fits.
+    """Cohort-side variance plug-in ``sum factor * resid^2 / (sum weights)^2``.
 
-    Terms with fitted probability above one half contribute negatively via
-    the ``(1 - 2p)`` factor; the sum is returned as-is.
+    With the membership factor ``(1 - p)(1 - 2p)``, terms with fitted
+    probability above one half contribute negatively; the sum is returned
+    as-is.
     """
     n_hat_c = float(np.sum(weights))
     resid = (cohort.y - mu_hat) / p_hat_cohort - cohort.X @ b_hat
-    total = float(
-        np.sum((1.0 - p_hat_cohort) * (1.0 - 2.0 * p_hat_cohort) * resid**2)
-    )
-    return total / n_hat_c**2
-
-
-def variance_cohort_component_participation(
-    cohort: CohortSample,
-    pi_hat_cohort: np.ndarray,
-    weights: np.ndarray,
-    mu_hat: float,
-    b_hat: np.ndarray,
-) -> float:
-    """Cohort-side variance plug-in for participation-score fits."""
-    n_hat_c = float(np.sum(weights))
-    resid = (cohort.y - mu_hat) / pi_hat_cohort - cohort.X @ b_hat
-    total = float(np.sum((1.0 - pi_hat_cohort) * resid**2))
+    total = float(np.sum(factor * resid**2))
     return total / n_hat_c**2
 
 
@@ -264,13 +224,11 @@ def tl_variance(
     p_s = fit.p_hat_survey if p_survey is None else np.asarray(p_survey, dtype=float)
 
     if fit.flavor is FitFlavor.POOLED_MEMBERSHIP:
-        b_hat = compute_b_hat(cohort, p_c, mu_hat, weights=weights)
-        v_cohort = variance_cohort_component(cohort, p_c, weights, mu_hat, b_hat)
+        a, u, factor = weights * p_c, weights, (1.0 - p_c) * (1.0 - 2.0 * p_c)
     else:
-        b_hat = compute_b_hat_participation(cohort, p_c, mu_hat)
-        v_cohort = variance_cohort_component_participation(
-            cohort, p_c, weights, mu_hat, b_hat
-        )
+        a, u, factor = 1.0 - p_c, (1.0 - p_c) / p_c, 1.0 - p_c
+    b_hat = compute_b_hat(cohort, a, u, mu_hat)
+    v_cohort = variance_cohort_component(cohort, p_c, factor, weights, mu_hat, b_hat)
 
     D = _design_matrix(survey, p_s, fit.lam)
     v_design = float(b_hat @ D @ b_hat)
@@ -301,7 +259,7 @@ def fixed_weight_variance(
     pi = np.asarray(participation, dtype=float)
     w = 1.0 / pi
     b0 = np.zeros(cohort.n_covariates)
-    v = variance_cohort_component_participation(cohort, pi, w, mu_hat, b0)
+    v = variance_cohort_component(cohort, pi, 1.0 - pi, w, mu_hat, b0)
     return VarianceBreakdown(
         v_cohort=v,
         v_design=0.0,

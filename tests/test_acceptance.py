@@ -389,7 +389,7 @@ def test_criterion_08_variance_formula_oracles():
         p = rng.uniform(0.05, 0.7, n)
         w = (1 - p) / p
         mu = float(rng.normal(2.0, 0.2))
-        b = compute_b_hat(CohortSample(y=y, X=X), p, mu, weights=w)
+        b = compute_b_hat(CohortSample(y=y, X=X), w * p, w, mu)
 
         A = np.zeros((2, 2))
         rhs = np.zeros(2)
@@ -399,7 +399,9 @@ def test_criterion_08_variance_formula_oracles():
         b_ref = np.linalg.inv(A) @ rhs
         worst = max(worst, float(np.abs(b - b_ref).max() / max(np.abs(b_ref).max(), 1e-12)))
 
-        v = variance_cohort_component(CohortSample(y=y, X=X), p, w, mu, b)
+        v = variance_cohort_component(
+            CohortSample(y=y, X=X), p, (1 - p) * (1 - 2 * p), w, mu, b
+        )
         total = 0.0
         for i in range(n):
             resid = (y[i] - mu) / p[i] - float(np.dot(b, X[i]))

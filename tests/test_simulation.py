@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from pseudoweight import (
+    DesignError,
     DomainError,
     InfeasibleTargetError,
     InsufficientReplicatesError,
@@ -16,6 +17,7 @@ from pseudoweight import (
     poisson_sample,
     run_monte_carlo,
 )
+from pseudoweight import simulation
 from pseudoweight.simulation import FinitePopulation
 
 ANALYTIC_MEAN = 3.978  # from the covariate recipe's moments
@@ -210,3 +212,38 @@ class TestMonteCarlo:
 
     def test_naive_is_biased_downward(self, small_report):
         assert small_report.cells[0].pct_rb < -30
+
+
+def test_package_error_in_one_estimate_excludes_only_that_replicate(monkeypatch):
+    study = dict(
+        population_config=PopulationConfig(N=4000, seed=17),
+        scenarios=(Scenario.LOG_LINK,),
+        f_c_grid=(0.05,),
+        methods=(Method.NAIVE, Method.TW, Method.ALP, Method.FDW, Method.CLW),
+        replicates=6,
+        base_seed=5,
+    )
+    baseline = run_monte_carlo(**study)
+    assert all(c.n_excluded == 0 for c in baseline.cells)
+
+    real = simulation.estimate_from_fit
+    fdw_calls = []
+
+    def failing_on_second_fdw(spec, *args, **kwargs):
+        if spec.method is Method.FDW:
+            fdw_calls.append(spec)
+            if len(fdw_calls) == 2:
+                raise DesignError("injected design failure")
+        return real(spec, *args, **kwargs)
+
+    monkeypatch.setattr(simulation, "estimate_from_fit", failing_on_second_fdw)
+    report = run_monte_carlo(**study)
+
+    assert len(fdw_calls) == 6
+    for before, after in zip(baseline.cells, report.cells):
+        if after.method == "fdw":
+            assert after.n_excluded == 1
+            assert after.n_replicates + after.n_excluded == 6
+        else:
+            # alp shares fdw's fit and must not lose its replicate
+            assert after == before

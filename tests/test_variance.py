@@ -11,7 +11,6 @@ from pseudoweight import (
     Method,
     SurveySample,
     compute_b_hat,
-    compute_b_hat_participation,
     design_variance_iid,
     design_variance_poisson,
     design_variance_stratified,
@@ -20,7 +19,6 @@ from pseudoweight import (
     fixed_weight_variance,
     tl_variance,
     variance_cohort_component,
-    variance_cohort_component_participation,
 )
 
 # frozen 5-unit instance solved by an explicit 2x2 inverse before the
@@ -48,19 +46,19 @@ def random_cohort(rng, n=10, p_extra=1):
 class TestBHat:
     def test_zero_when_outcome_constant(self):
         c = CohortSample(y=np.full(4, 3.3), X=np.column_stack([np.ones(4), np.arange(4.0)]))
-        b = compute_b_hat(c, np.full(4, 0.3), 3.3)
+        b = compute_b_hat(c, np.full(4, 0.3), np.ones(4), 3.3)
         np.testing.assert_allclose(b, 0.0, atol=1e-12)
 
     def test_intercept_only_scalar_reduction(self):
         y = np.array([1.0, 2.0, 4.0])
         p = np.array([0.2, 0.3, 0.4])
         c = CohortSample(y=y, X=np.ones((3, 1)))
-        b = compute_b_hat(c, p, 2.0)
+        b = compute_b_hat(c, p, np.ones(3), 2.0)
         assert b[0] == pytest.approx(((y - 2.0).sum()) / p.sum(), abs=1e-12)
 
     def test_matches_frozen_dense_solve(self):
         c = CohortSample(y=B_HAT_Y, X=B_HAT_X)
-        b = compute_b_hat(c, B_HAT_P, 1.8)
+        b = compute_b_hat(c, B_HAT_P, np.ones(5), 1.8)
         np.testing.assert_allclose(b, B_HAT_EXPECTED, atol=1e-7)
 
     def test_weighted_variant_scales_both_sums(self):
@@ -68,7 +66,7 @@ class TestBHat:
         c = random_cohort(rng)
         p = rng.uniform(0.1, 0.5, c.n_c)
         w = (1 - p) / p
-        b = compute_b_hat(c, p, 1.9, weights=w)
+        b = compute_b_hat(c, w * p, w, 1.9)
         # independent loop re-implementation with an explicit inverse
         A = np.zeros((2, 2))
         rhs = np.zeros(2)
@@ -84,7 +82,7 @@ class TestBHat:
             c = random_cohort(rng, n=12, p_extra=2)
             p = rng.uniform(0.05, 0.6, c.n_c)
             w = (1 - p) / p
-            b = compute_b_hat(c, p, 2.1, weights=w)
+            b = compute_b_hat(c, w * p, w, 2.1)
             A = c.X.T @ ((w * p)[:, None] * c.X)
             rhs = (w * (c.y - 2.1)) @ c.X
             assert np.linalg.norm(A @ b - rhs) <= 1e-8 * max(np.linalg.norm(rhs), 1.0)
@@ -93,14 +91,18 @@ class TestBHat:
 class TestCohortComponent:
     def test_zero_when_residuals_vanish(self):
         c = CohortSample(y=np.full(4, 1.1), X=np.ones((4, 1)))
-        v = variance_cohort_component(c, np.full(4, 0.3), np.ones(4), 1.1, np.zeros(1))
+        v = variance_cohort_component(
+            c, np.full(4, 0.3), np.full(4, 0.7 * 0.4), np.ones(4), 1.1, np.zeros(1)
+        )
         assert v == 0.0
 
     def test_single_unit_arithmetic(self):
         # p = 0.2, y - mu = 1, b = 0, weight total 4:
         # (1/16) * 0.8 * 0.6 * 25 = 0.75
         c = CohortSample(y=np.array([3.0]), X=np.ones((1, 1)))
-        v = variance_cohort_component(c, np.array([0.2]), np.array([4.0]), 2.0, np.zeros(1))
+        v = variance_cohort_component(
+            c, np.array([0.2]), np.array([0.8 * 0.6]), np.array([4.0]), 2.0, np.zeros(1)
+        )
         assert v == pytest.approx(0.75, abs=1e-12)
 
     def test_matches_independent_loop(self):
@@ -110,8 +112,8 @@ class TestCohortComponent:
             p = rng.uniform(0.05, 0.7, c.n_c)
             w = (1 - p) / p
             mu = float(rng.normal(2.0, 0.3))
-            b = compute_b_hat(c, p, mu, weights=w)
-            v = variance_cohort_component(c, p, w, mu, b)
+            b = compute_b_hat(c, w * p, w, mu)
+            v = variance_cohort_component(c, p, (1 - p) * (1 - 2 * p), w, mu, b)
             total = 0.0
             for i in range(c.n_c):
                 resid = (c.y[i] - mu) / p[i] - float(np.dot(b, c.X[i]))
@@ -126,8 +128,8 @@ class TestCohortComponent:
             pi = rng.uniform(0.05, 0.6, c.n_c)
             w = 1.0 / pi
             mu = 2.0
-            b = compute_b_hat_participation(c, pi, mu)
-            v = variance_cohort_component_participation(c, pi, w, mu, b)
+            b = compute_b_hat(c, 1 - pi, (1 - pi) / pi, mu)
+            v = variance_cohort_component(c, pi, 1 - pi, w, mu, b)
             total = 0.0
             for i in range(c.n_c):
                 resid = (c.y[i] - mu) / pi[i] - float(np.dot(b, c.X[i]))
@@ -366,7 +368,7 @@ class TestTlVariance:
         w = 1.0 / pi
         mu = float(np.sum(w * cohort.y) / w.sum())
         vb = tl_variance(cohort, survey, fit, w, mu)
-        b = compute_b_hat_participation(cohort, pi, mu)
-        v1 = variance_cohort_component_participation(cohort, pi, w, mu, b)
+        b = compute_b_hat(cohort, 1 - pi, (1 - pi) / pi, mu)
+        v1 = variance_cohort_component(cohort, pi, 1 - pi, w, mu, b)
         D = design_variance_poisson(survey, fit.p_hat_survey)
         assert vb.v_total == pytest.approx(v1 + b @ D @ b, rel=1e-12)
