@@ -22,9 +22,9 @@ The catalogue:
     Participation-score fit on its own system; weight
     ``1/pi = 1 + exp(-gamma . x)``.
 ``alps``
-    Pooled fit with survey weights scaled by a constant (cohort size over
-    survey weight total by default); the weight drops the intercept, which
-    the scaling biases, and keeps the slope part: ``exp(-b1 . x1)``.
+    Pooled fit with survey weights scaled by the constant ``n_c / sum(d)``
+    (cohort size over survey weight total); the weight drops the intercept,
+    which the scaling biases, and keeps the slope part: ``exp(-b1 . x1)``.
 
 All weighted means are ratio (Hajek) estimators, invariant to rescaling the
 weight vector.
@@ -72,18 +72,11 @@ class MethodSpec:
 
     ``truncate_pi_at_one`` clamps implied participation rates above one back
     to one (weight one) for the odds-transform weights; off by default, the
-    affected count is reported either way.  ``lambda_rule`` overrides the
-    survey-weight scale constant for ``alps`` (default: cohort size divided
-    by the survey weight total).
+    affected count is reported either way.
     """
 
     method: Method
     truncate_pi_at_one: bool = False
-    lambda_rule: float | None = None
-
-    def __post_init__(self):
-        if self.lambda_rule is not None and self.lambda_rule <= 0:
-            raise ValueError("lambda must be positive")
 
 
 def _check_probs(p: np.ndarray) -> None:
@@ -150,12 +143,7 @@ def hajek_mean(y: np.ndarray, weights: np.ndarray) -> float:
     return float(np.sum(w * y) / total)
 
 
-def fit_key(
-    method: Method,
-    cohort: CohortSample,
-    survey: SurveySample,
-    lambda_rule: float | None = None,
-):
+def fit_key(method: Method, cohort: CohortSample, survey: SurveySample):
     """The fit a method needs as ``(flavor, survey-weight multiplier)``, or
     None for naive and tw.  Methods with equal keys share one fit; ``rdw``'s
     key raises :class:`RescaleError` when its factor would be nonpositive."""
@@ -166,8 +154,7 @@ def fit_key(
     if method is Method.RDW:
         return FitFlavor.POOLED_MEMBERSHIP, rdw_rescale_factor(cohort.n_c, survey.d)
     if method is Method.ALPS:
-        lam = default_lambda(cohort.n_c, survey.d) if lambda_rule is None else lambda_rule
-        return FitFlavor.POOLED_MEMBERSHIP, lam
+        return FitFlavor.POOLED_MEMBERSHIP, default_lambda(cohort.n_c, survey.d)
     if method is Method.CLW:
         return FitFlavor.CLW_SCORE, 1.0
     raise ValueError(f"unknown method {method!r}")  # pragma: no cover
@@ -178,11 +165,10 @@ def fit_for_method(
     cohort: CohortSample,
     survey: SurveySample,
     config: SolverConfig | None = None,
-    lambda_rule: float | None = None,
 ) -> PropensityFit | None:
     """Run the propensity fit a method needs (None for naive/tw); methods
     with the same :func:`fit_key` (``alp`` and ``fdw``) get the same fit."""
-    key = fit_key(method, cohort, survey, lambda_rule)
+    key = fit_key(method, cohort, survey)
     if key is None:
         return None
     flavor, multiplier = key
@@ -292,5 +278,5 @@ def estimate(
     report = validate_paired_samples(cohort, survey)
     if not report.ok:
         raise ValidationError(report.violations)
-    fit = fit_for_method(spec.method, cohort, survey, config, spec.lambda_rule)
+    fit = fit_for_method(spec.method, cohort, survey, config)
     return estimate_from_fit(spec, fit, cohort, survey, true_participation)

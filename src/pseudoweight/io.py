@@ -13,7 +13,7 @@ from __future__ import annotations
 import csv
 import json
 import warnings as _warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,7 +33,6 @@ from .samples import (
     validate_paired_samples,
 )
 from .simulation import SimulationReport
-from .solvers import SolverConfig
 
 
 def _fmt(value) -> str:
@@ -175,7 +174,6 @@ class EstimationJob:
     truncate_pi: bool = False
     output_path: str | None = None
     dump_weights_path: str | None = None
-    solver: SolverConfig = field(default_factory=SolverConfig)
 
 
 def _weight_summary(w: np.ndarray):
@@ -223,7 +221,7 @@ def run_estimation_job(job: EstimationJob):
     weight_dump = {}
     for m in job.methods:
         spec = MethodSpec(method=Method(m), truncate_pi_at_one=job.truncate_pi)
-        result = estimate(spec, cohort, survey, config=job.solver)
+        result = estimate(spec, cohort, survey)
         w_min, w_max, w_cv = _weight_summary(result.weights)
         row = {
             "method": result.method,
@@ -276,22 +274,19 @@ _COLUMN_ORDER = (
 )
 
 
-def emit_report(results, path, fmt: str | None = None):
+def emit_report(results, path):
     """Write estimation results as a delimited table or structured document.
 
-    ``fmt`` is ``"csv"`` or ``"json"``; when omitted it is inferred from the
-    path suffix (JSON for ``.json``, delimited otherwise).  Column order is
-    fixed; optional columns appear only when present in the rows.  Refuses
-    to write an empty report.
+    A path ending in ``.json`` gets a JSON document; any other path gets a
+    delimited table.  Column order is fixed; optional columns appear only
+    when present in the rows.  Refuses to write an empty report.
     """
     results = list(results)
     if not results:
         raise IoError("refusing to write an empty report")
-    if fmt is None:
-        fmt = "json" if str(path).endswith(".json") else "csv"
     columns = [c for c in _COLUMN_ORDER if any(c in r for r in results)]
     try:
-        if fmt == "json":
+        if str(path).endswith(".json"):
             doc = [{c: r.get(c) for c in columns} for r in results]
             payload = json.dumps(doc, indent=2, allow_nan=True, sort_keys=False)
             with open(path, "w", encoding="utf-8") as fh:

@@ -13,6 +13,7 @@ be shared freely across threads and concurrent Monte Carlo replicates.
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -43,12 +44,37 @@ def _readonly(a, dtype=float):
 
 
 @dataclass(frozen=True)
+class PsuCodes:
+    """Integer encoding of a survey's stratum and PSU labels.
+
+    A PSU is a (stratum, psu) label pair, so equal PSU labels in different
+    strata are different PSUs.  ``strata`` holds the distinct stratum labels
+    in sorted order; PSUs are numbered by stratum, then by PSU label, so
+    ``stratum_of_psu`` (each PSU's index into ``strata``) is non-decreasing
+    and ``psu_of_unit`` gives each unit's PSU number.
+    """
+
+    strata: np.ndarray
+    psu_of_unit: np.ndarray
+    stratum_of_psu: np.ndarray
+
+    def single_psu_strata(self) -> list:
+        """Printed labels (``'b'``, ``1``) of the strata with one PSU."""
+        labels = self.strata.tolist()
+        counts = np.bincount(self.stratum_of_psu, minlength=len(labels))
+        return [repr(labels[h]) for h in np.flatnonzero(counts < 2)]
+
+
+@dataclass(frozen=True)
 class DesignInfo:
     """Survey design metadata.
 
     ``stratum`` and ``psu`` are per-unit labels, required only for the
-    stratified with-replacement design.  Labels may be any hashable values;
-    they are compared for equality, never ordered.
+    stratified with-replacement design.  Labels are sorted to number the
+    strata and PSUs, so the labels of each column must be mutually sortable
+    (all strings or all numbers, say); a PSU is identified within its
+    stratum.  The labels are stored as read-only copies, which keeps
+    :attr:`psu_codes` valid once computed.
     """
 
     kind: DesignKind = DesignKind.POISSON
@@ -56,10 +82,23 @@ class DesignInfo:
     psu: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.stratum is not None:
-            object.__setattr__(self, "stratum", np.asarray(self.stratum))
-        if self.psu is not None:
-            object.__setattr__(self, "psu", np.asarray(self.psu))
+        for name in ("stratum", "psu"):
+            labels = getattr(self, name)
+            if labels is not None:
+                object.__setattr__(self, name, _readonly(labels, dtype=None))
+
+    @functools.cached_property
+    def psu_codes(self) -> PsuCodes | None:
+        """The labels' :class:`PsuCodes`, computed on first use; None when
+        either label array is missing."""
+        if self.stratum is None or self.psu is None:
+            return None
+        strata, stratum_index = np.unique(self.stratum, return_inverse=True)
+        psu_labels, psu_index = np.unique(self.psu, return_inverse=True)
+        pairs, psu_of_unit = np.unique(
+            stratum_index * len(psu_labels) + psu_index, return_inverse=True
+        )
+        return PsuCodes(strata, psu_of_unit, pairs // len(psu_labels))
 
 
 @dataclass(frozen=True)
@@ -219,23 +258,18 @@ def validate_paired_samples(cohort: CohortSample, survey: SurveySample) -> Valid
     if not np.all(survey.X[:, 0] == 1.0):
         v.append("survey covariate matrix lacks an all-ones intercept in column 0")
 
-    if survey.design.kind is DesignKind.STRATIFIED_WR:
-        if survey.design.stratum is None or survey.design.psu is None:
+    design = survey.design
+    if design.kind is DesignKind.STRATIFIED_WR:
+        if design.stratum is None or design.psu is None:
             v.append("stratified design requires stratum and psu labels for every unit")
+        elif len(design.stratum) != survey.n_p or len(design.psu) != survey.n_p:
+            v.append("stratum/psu label length does not match survey rows")
         else:
-            if len(survey.design.stratum) != survey.n_p or len(survey.design.psu) != survey.n_p:
-                v.append("stratum/psu label length does not match survey rows")
-            else:
-                strata = np.asarray(survey.design.stratum)
-                psus = np.asarray(survey.design.psu)
-                for h in np.unique(strata):
-                    n_psu = len(np.unique(psus[strata == h]))
-                    if n_psu < 2:
-                        label = h.item() if hasattr(h, "item") else h
-                        v.append(
-                            f"stratum {label!r} has < 2 PSUs; collapse it with "
-                            "a neighbouring stratum before analysis"
-                        )
+            v.extend(
+                f"stratum {label} has < 2 PSUs; collapse it with a neighbouring "
+                "stratum before analysis"
+                for label in design.psu_codes.single_psu_strata()
+            )
     return ValidationReport(violations=tuple(v))
 
 

@@ -32,7 +32,6 @@ from .errors import (
 )
 from .estimators import Method, MethodSpec, estimate_from_fit, fit_for_method, fit_key
 from .samples import CohortSample, DesignInfo, DesignKind, SurveySample
-from .solvers import SolverConfig
 
 #: Slope coefficients of the participation models, shared by both scenarios.
 PARTICIPATION_SLOPES = (0.18, 0.18, -0.27, -0.27)
@@ -67,7 +66,6 @@ class PopulationConfig:
 
     N: int = 50_000
     seed: int = 2468
-    outcome_sd: float = 1.0
 
     def __post_init__(self):
         if self.N < 1000:
@@ -76,14 +74,11 @@ class PopulationConfig:
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """One simulation cell: mechanism, target rates, and survey knobs."""
+    """One simulation cell: mechanism and target sampling rates."""
 
     scenario: Scenario
     f_c_target: float
-    slopes: tuple = PARTICIPATION_SLOPES
     f_p_target: float = 0.025
-    weight_ratio_target: float = SURVEY_WEIGHT_RATIO
-    outcome_in_q: float = SURVEY_OUTCOME_COEF
 
     def __post_init__(self):
         if not 0.0 < self.f_c_target < 1.0:
@@ -109,8 +104,8 @@ def generate_population(config: PopulationConfig) -> FinitePopulation:
     """Draw the study population; deterministic for a given seed.
 
     Four base variates (Bernoulli, uniform, exponential, chi-square) are
-    chained into correlated covariates, and the outcome is normal around a
-    linear combination of them.  The returned ``mu`` is the realized
+    chained into correlated covariates, and the outcome is normal with unit
+    variance around a linear combination of them.  The returned ``mu`` is the realized
     population mean, the estimand of every simulated estimator.
     """
     rng = np.random.default_rng(config.seed)
@@ -124,7 +119,7 @@ def generate_population(config: PopulationConfig) -> FinitePopulation:
     x3 = v3 + 0.2 * (x1 + x2)
     x4 = v4 + 0.1 * (x1 + x2 + x3)
     X = np.column_stack([np.ones(N), x1, x2, x3, x4])
-    y = (-x1 - x2 + x3 + x4) + config.outcome_sd * rng.standard_normal(N)
+    y = (-x1 - x2 + x3 + x4) + rng.standard_normal(N)
     return FinitePopulation(X=X, y=y, mu=float(y.mean()))
 
 
@@ -190,29 +185,22 @@ def calibrate_participation_intercept(
     return intercept
 
 
-def calibrate_survey_const(
-    population: FinitePopulation,
-    f_p_target: float,
-    weight_ratio_target: float = SURVEY_WEIGHT_RATIO,
-    outcome_in_q: float = SURVEY_OUTCOME_COEF,
-):
+def calibrate_survey_const(population: FinitePopulation, f_p_target: float):
     """Solve for the constant that fixes the survey size-variable spread.
 
-    The size variable is ``const + x3 + c * y``; the max/min ratio is
-    strictly decreasing in ``const``, and the ratio equation is linear in
-    it, so the root is exact.  Returns the constant and the survey
-    inclusion probabilities ``n_p q / sum(q)`` capped at one.
+    The size variable is ``const + x3 + c * y`` with ``c`` =
+    :data:`SURVEY_OUTCOME_COEF`; its max/min ratio, strictly decreasing in
+    ``const``, must equal :data:`SURVEY_WEIGHT_RATIO`.  The ratio equation
+    is linear in ``const``, so the root is exact.  Returns the constant and
+    the survey inclusion probabilities ``n_p q / sum(q)`` capped at one.
     """
-    t = population.X[:, 3] + outcome_in_q * population.y
-    spread = t.max() - t.min()
-    if weight_ratio_target <= 1.0:
-        raise InfeasibleTargetError("weight ratio target must exceed 1")
-    if spread <= 0.0:
+    t = population.X[:, 3] + SURVEY_OUTCOME_COEF * population.y
+    if t.max() - t.min() <= 0.0:
         raise InfeasibleTargetError(
             "size variable is constant across units; no constant can produce "
-            f"a weight ratio of {weight_ratio_target}"
+            f"a weight ratio of {SURVEY_WEIGHT_RATIO}"
         )
-    const = (t.max() - weight_ratio_target * t.min()) / (weight_ratio_target - 1.0)
+    const = (t.max() - SURVEY_WEIGHT_RATIO * t.min()) / (SURVEY_WEIGHT_RATIO - 1.0)
     q = const + t
     if q.min() <= 0:  # pragma: no cover - excluded by the algebra above
         raise InfeasibleTargetError("size variable would be nonpositive")
@@ -314,16 +302,13 @@ def _run_cell(
     methods,
     replicates: int,
     base_seed: int,
-    solver: SolverConfig,
 ):
     try:
         intercept = calibrate_participation_intercept(
-            population, cell.scenario, cell.f_c_target, cell.slopes
+            population, cell.scenario, cell.f_c_target
         )
-        pi_c = participation_probabilities(population, cell.scenario, intercept, cell.slopes)
-        _, pi_p = calibrate_survey_const(
-            population, cell.f_p_target, cell.weight_ratio_target, cell.outcome_in_q
-        )
+        pi_c = participation_probabilities(population, cell.scenario, intercept)
+        _, pi_p = calibrate_survey_const(population, cell.f_p_target)
     except (InfeasibleTargetError, NonConvergenceError) as exc:
         raise CellInfeasibleError(
             f"cell ({cell.scenario.value}, f_c={cell.f_c_target}) cannot be "
@@ -370,7 +355,7 @@ def _run_cell(
                 key = fit_key(m, cohort, survey)
                 if key not in fits:
                     try:
-                        fits[key] = fit_for_method(m, cohort, survey, solver)
+                        fits[key] = fit_for_method(m, cohort, survey)
                     except PseudoweightError as exc:
                         fits[key] = exc
                 if isinstance(fits[key], PseudoweightError):
@@ -436,8 +421,6 @@ def run_monte_carlo(
     replicates: int = 1000,
     base_seed: int = 99,
     f_p: float = 0.025,
-    weight_ratio: float = SURVEY_WEIGHT_RATIO,
-    solver: SolverConfig | None = None,
 ) -> SimulationReport:
     """Run the full study grid and aggregate per-cell metrics.
 
@@ -447,20 +430,12 @@ def run_monte_carlo(
     calibrated raise :class:`CellInfeasibleError`.
     """
     population = generate_population(population_config)
-    solver = solver or SolverConfig()
     methods = tuple(Method(m) for m in methods)
     cells = []
     for scenario in scenarios:
         for f_c in f_c_grid:
-            cell = ScenarioConfig(
-                scenario=Scenario(scenario),
-                f_c_target=float(f_c),
-                f_p_target=f_p,
-                weight_ratio_target=weight_ratio,
-            )
-            cells.extend(
-                _run_cell(population, cell, methods, replicates, base_seed, solver)
-            )
+            cell = ScenarioConfig(Scenario(scenario), float(f_c), f_p)
+            cells.extend(_run_cell(population, cell, methods, replicates, base_seed))
     return SimulationReport(
         mu_true=population.mu,
         n_population=population.N,

@@ -21,8 +21,12 @@ weighted: the membership arrays carry the pseudo-weights, which is what
 keeps the variance ratio near one in simulation (unit weights, ``a = p``
 and ``u = 1``, give unweighted cohort sums instead).
 
-All design matrices are normalized by the squared total of the (effective)
-survey weights.  When a fit scaled the survey weights by a constant, that
+The stratified and iid designs share one with-replacement PSU formula over
+integer PSU codes: the stratified design reads them from the survey's
+``DesignInfo.psu_codes`` (labels grouped once, on first use), and the iid
+design numbers each unit as its own PSU in a single stratum.  All design
+matrices are normalized by the squared total of the (effective) survey
+weights.  When a fit scaled the survey weights by a constant, that
 constant stays attached: the scaled weights enter the PSU totals and the
 normalizing total alike.
 """
@@ -94,27 +98,20 @@ def _psu_design_matrix(
     X: np.ndarray,
     w: np.ndarray,
     p_hat: np.ndarray,
-    stratum: np.ndarray,
-    psu: np.ndarray,
+    psu_of_unit: np.ndarray,
+    stratum_of_psu: np.ndarray,
 ) -> np.ndarray:
-    """With-replacement PSU variance of the weighted total of ``w p x``."""
+    """With-replacement PSU variance of the weighted total of ``w p x``,
+    for PSUs numbered as in :class:`~pseudoweight.samples.PsuCodes`."""
     p_cols = X.shape[1]
-    z_unit = (w * p_hat)[:, None] * X
-    n_hat_p = float(np.sum(w))
+    z_psu = np.zeros((len(stratum_of_psu), p_cols))
+    np.add.at(z_psu, psu_of_unit, (w * p_hat)[:, None] * X)
     D = np.zeros((p_cols, p_cols))
-    for h in np.unique(stratum):
-        mask = stratum == h
-        psus_h = np.unique(psu[mask])
-        a_h = len(psus_h)
-        if a_h < 2:
-            raise DesignError(
-                f"stratum {h!r} has a single PSU; collapse it with a "
-                "neighbouring stratum before variance estimation"
-            )
-        z = np.stack([z_unit[mask & (psu == l)].sum(axis=0) for l in psus_h])
+    for z in np.split(z_psu, np.flatnonzero(np.diff(stratum_of_psu)) + 1):
+        a_h = len(z)
         dev = z - z.mean(axis=0)
         D += (a_h / (a_h - 1.0)) * dev.T @ dev
-    return D / n_hat_p**2
+    return D / float(np.sum(w)) ** 2
 
 
 def design_variance_stratified(
@@ -129,14 +126,21 @@ def design_variance_stratified(
     (inside the PSU totals and in the normalizing total), matching how
     scaled-weight fits substitute their weights into the formula.
     """
-    if survey.design.stratum is None or survey.design.psu is None:
+    codes = survey.design.psu_codes
+    if codes is None:
         raise DesignError("stratified variance requires stratum and psu labels")
+    single = codes.single_psu_strata()
+    if single:
+        raise DesignError(
+            f"stratum {single[0]} has a single PSU; collapse it with a "
+            "neighbouring stratum before variance estimation"
+        )
     return _psu_design_matrix(
         survey.X,
         weight_multiplier * survey.d,
         np.asarray(p_hat_survey, dtype=float),
-        np.asarray(survey.design.stratum),
-        np.asarray(survey.design.psu),
+        codes.psu_of_unit,
+        codes.stratum_of_psu,
     )
 
 
@@ -174,14 +178,12 @@ def design_variance_iid(
     labels are available."""
     if survey.n_p < 2:
         raise DesignError("iid design variance needs at least two survey units")
-    ones = np.zeros(survey.n_p, dtype=int)
-    units = np.arange(survey.n_p)
     return _psu_design_matrix(
         survey.X,
         weight_multiplier * survey.d,
         np.asarray(p_hat_survey, dtype=float),
-        ones,
-        units,
+        np.arange(survey.n_p),
+        np.zeros(survey.n_p, dtype=int),
     )
 
 

@@ -6,7 +6,6 @@ from pseudoweight import (
     DomainError,
     EmptyInputError,
     Method,
-    MethodSpec,
     RescaleError,
     SurveySample,
     ValidationError,
@@ -209,14 +208,3 @@ class TestEstimate:
         alp = estimate(Method.ALP, cohort, survey)
         fdw = estimate(Method.FDW, cohort, survey)
         assert abs(alp.mu_hat - fdw.mu_hat) / abs(alp.mu_hat) < 0.01
-
-    def test_method_spec_lambda_override(self):
-        cohort, survey = synthetic_pair(seed=7)
-        res_default = estimate(Method.ALPS, cohort, survey)
-        res_double = estimate(
-            MethodSpec(method=Method.ALPS, lambda_rule=2 * cohort.n_c / survey.d.sum()),
-            cohort,
-            survey,
-        )
-        # scaled fits with different constants give different slope estimates
-        assert res_default.mu_hat != res_double.mu_hat

@@ -7,6 +7,7 @@ import pytest
 
 from pseudoweight import (
     CohortSample,
+    DesignInfo,
     DesignKind,
     EmptyFileError,
     EstimationJob,
@@ -16,6 +17,7 @@ from pseudoweight import (
     ParseError,
     SurveySample,
     emit_report,
+    estimate,
     ingest_delimited,
     run_estimation_job,
 )
@@ -297,6 +299,47 @@ class TestCli:
         assert w_lines[0] == "unit,alp,fdw"
         alp_w = np.array([float(l.split(",")[1]) for l in w_lines[1:]])
         np.testing.assert_allclose(alp_w, 1.0, atol=1e-6)
+
+    def test_estimate_iid_design_matches_library(self, tmp_path):
+        rng = np.random.default_rng(4)
+        Xc = np.column_stack([np.ones(30), rng.normal(0.5, 1.0, 30)])
+        yc = 1.0 + Xc[:, 1] + rng.normal(size=30)
+        Xs = np.column_stack([np.ones(40), rng.normal(size=40)])
+        d = rng.uniform(2.0, 20.0, 40)
+        cohort_rows = zip(yc.tolist(), Xc[:, 1].tolist())
+        survey_rows = zip(Xs[:, 1].tolist(), d.tolist())
+        cohort_path = write(
+            tmp_path / "c.csv", "y,x1\n" + "".join(f"{a!r},{b!r}\n" for a, b in cohort_rows)
+        )
+        survey_path = write(
+            tmp_path / "s.csv", "x1,w\n" + "".join(f"{a!r},{b!r}\n" for a, b in survey_rows)
+        )
+        out = tmp_path / "report.csv"
+        methods = ("alp", "fdw", "rdw", "clw", "alps")
+        code = main(
+            [
+                "estimate",
+                "--cohort", cohort_path,
+                "--survey", survey_path,
+                "--outcome", "y",
+                "--covariates", "x1",
+                "--weight", "w",
+                "--design", "iid",
+                "--methods", ",".join(methods),
+                "--out", str(out),
+            ]
+        )
+        assert code == 0
+        cohort = CohortSample(y=yc, X=Xc)
+        survey = SurveySample(X=Xs, d=d, design=DesignInfo(kind=DesignKind.IID))
+        lines = out.read_text().splitlines()
+        assert len(lines) == 1 + len(methods)
+        for line, method in zip(lines[1:], methods):
+            expected = estimate(Method(method), cohort, survey)
+            fields = line.split(",")
+            assert fields[0] == method
+            got = [float(v) for v in fields[1:5]]
+            assert got == [expected.mu_hat, expected.var_hat, expected.ci_low, expected.ci_high]
 
     def test_estimate_failure_is_machine_readable(self, tmp_path, capsys):
         code = main(

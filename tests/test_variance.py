@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pseudoweight import (
     CohortSample,
@@ -205,6 +207,25 @@ def stratified_survey(rng, strata_sizes=(6, 8, 4), psus_per_stratum=(2, 3, 2)):
     return SurveySample(X=np.array(X_rows), d=np.array(d), design=design)
 
 
+def textbook_stratified(survey, p_hat, multiplier=1.0):
+    """Independent re-implementation of the stratified design matrix:
+    dict-of-lists grouping of PSU totals, one outer product per PSU."""
+    w = multiplier * survey.d
+    z_tot = {}
+    for i in range(survey.n_p):
+        key = (survey.design.stratum[i], survey.design.psu[i])
+        z_tot.setdefault(key, np.zeros(survey.n_covariates))
+        z_tot[key] += w[i] * p_hat[i] * survey.X[i]
+    D_ref = np.zeros((survey.n_covariates, survey.n_covariates))
+    for h in sorted({k[0] for k in z_tot}):
+        zs = np.array([z_tot[k] for k in sorted(z_tot) if k[0] == h])
+        a_h = len(zs)
+        zbar = zs.mean(axis=0)
+        for z in zs:
+            D_ref += (a_h / (a_h - 1)) * np.outer(z - zbar, z - zbar)
+    return D_ref / w.sum() ** 2
+
+
 class TestStratifiedDesign:
     def test_identical_psu_totals_give_zero(self):
         # two PSUs per stratum with identical rows: zero deviations
@@ -240,22 +261,7 @@ class TestStratifiedDesign:
         survey = stratified_survey(rng)
         p_hat = rng.uniform(0.1, 0.4, survey.n_p)
         D = design_variance_stratified(survey, p_hat)
-
-        # independent re-implementation: dict-of-lists grouping
-        z_tot = {}
-        for i in range(survey.n_p):
-            key = (survey.design.stratum[i], survey.design.psu[i])
-            z_tot.setdefault(key, np.zeros(2))
-            z_tot[key] += survey.d[i] * p_hat[i] * survey.X[i]
-        D_ref = np.zeros((2, 2))
-        for h in sorted({k[0] for k in z_tot}):
-            zs = np.array([z_tot[k] for k in sorted(z_tot) if k[0] == h])
-            a_h = len(zs)
-            zbar = zs.mean(axis=0)
-            for z in zs:
-                D_ref += (a_h / (a_h - 1)) * np.outer(z - zbar, z - zbar)
-        D_ref /= survey.d.sum() ** 2
-        np.testing.assert_allclose(D, D_ref, rtol=1e-10)
+        np.testing.assert_allclose(D, textbook_stratified(survey, p_hat), rtol=1e-10)
 
     def test_single_psu_stratum_rejected(self):
         design = DesignInfo(
@@ -264,7 +270,7 @@ class TestStratifiedDesign:
             psu=np.array([1, 2, 3]),
         )
         survey = SurveySample(X=np.ones((3, 1)), d=np.ones(3) * 2, design=design)
-        with pytest.raises(DesignError):
+        with pytest.raises(DesignError, match="stratum 'b' has a single PSU"):
             design_variance_stratified(survey, np.full(3, 0.2))
 
     def test_iid_treats_units_as_psus(self):
@@ -372,3 +378,96 @@ class TestTlVariance:
         v1 = variance_cohort_component(cohort, pi, 1 - pi, w, mu, b)
         D = design_variance_poisson(survey, fit.p_hat_survey)
         assert vb.v_total == pytest.approx(v1 + b @ D @ b, rel=1e-12)
+
+
+# Property tests over random stratum/PSU layouts.  Examples are derandomized
+# so the suite reads the same cases on every run.  Tolerances are set from
+# float64 rounding: entries near zero after cancellation are judged against
+# the matrix's largest entry.
+PROPERTY_SETTINGS = settings(max_examples=150, deadline=None, derandomize=True)
+
+
+@st.composite
+def stratified_layouts(draw):
+    """Integer stratum and PSU labels for 1-5 strata of 2-5 PSUs each, 1-4
+    units per PSU, rows shuffled; PSU labels recur across strata, so a PSU
+    is only identified by its stratum.  Also an intercept plus 0-2 normal
+    covariates, design weights of at least one and fitted probabilities."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    stratum, psu = [], []
+    for h in rng.choice(100, draw(st.integers(1, 5)), replace=False):
+        for label in rng.choice(10, draw(st.integers(2, 5)), replace=False):
+            m = draw(st.integers(1, 4))
+            stratum += [h] * m
+            psu += [label] * m
+    order = rng.permutation(len(stratum))
+    n = len(order)
+    X = np.column_stack(
+        [np.ones(n)] + [rng.normal(size=n) for _ in range(draw(st.integers(0, 2)))]
+    )
+    return (
+        np.array(stratum)[order],
+        np.array(psu)[order],
+        X,
+        rng.uniform(1.0, 10.0, n),
+        rng.uniform(0.01, 0.99, n),
+    )
+
+
+def layout_survey(stratum, psu, X, d, kind=DesignKind.STRATIFIED_WR):
+    return SurveySample(X=X, d=d, design=DesignInfo(kind=kind, stratum=stratum, psu=psu))
+
+
+def assert_close_to_scale(D, expected, rtol):
+    np.testing.assert_allclose(D, expected, rtol=rtol, atol=rtol * np.abs(expected).max())
+
+
+@PROPERTY_SETTINGS
+@given(layout=stratified_layouts(), multiplier=st.floats(0.1, 3.0))
+def test_stratified_matches_textbook_loop(layout, multiplier):
+    stratum, psu, X, d, p_hat = layout
+    survey = layout_survey(stratum, psu, X, d)
+    D = design_variance_stratified(survey, p_hat, multiplier)
+    assert_close_to_scale(D, textbook_stratified(survey, p_hat, multiplier), 1e-10)
+
+
+@PROPERTY_SETTINGS
+@given(layout=stratified_layouts())
+def test_every_design_gives_symmetric_psd_matrix(layout):
+    stratum, psu, X, d, p_hat = layout
+    for design_variance in (
+        design_variance_poisson,
+        design_variance_stratified,
+        design_variance_iid,
+    ):
+        D = design_variance(layout_survey(stratum, psu, X, d), p_hat)
+        scale = np.abs(D).max()
+        np.testing.assert_allclose(D, D.T, rtol=0, atol=1e-14 * scale)
+        assert np.linalg.eigvalsh(D).min() >= -1e-12 * scale
+
+
+@PROPERTY_SETTINGS
+@given(layout=stratified_layouts(), seed=st.integers(0, 2**32 - 1))
+def test_stratified_invariant_to_row_order_and_label_type(layout, seed):
+    stratum, psu, X, d, p_hat = layout
+    D = design_variance_stratified(layout_survey(stratum, psu, X, d), p_hat)
+    perm = np.random.default_rng(seed).permutation(len(d))
+    shuffled = layout_survey(stratum[perm], psu[perm], X[perm], d[perm])
+    assert_close_to_scale(design_variance_stratified(shuffled, p_hat[perm]), D, 1e-12)
+    # string labels sort differently ("10" < "9"): strata and PSUs are
+    # numbered in another order, the matrix stays the same
+    as_text = layout_survey(stratum.astype(str), psu.astype(str), X, d)
+    assert_close_to_scale(design_variance_stratified(as_text, p_hat), D, 1e-12)
+
+
+@PROPERTY_SETTINGS
+@given(layout=stratified_layouts(), multiplier=st.floats(0.1, 3.0))
+def test_iid_matches_closed_form(layout, multiplier):
+    _, _, X, d, p_hat = layout
+    w = multiplier * d
+    dev = (w * p_hat)[:, None] * X
+    dev -= dev.mean(axis=0)
+    n = len(d)
+    expected = (n / (n - 1)) * dev.T @ dev / w.sum() ** 2
+    D = design_variance_iid(SurveySample(X=X, d=d), p_hat, multiplier)
+    assert_close_to_scale(D, expected, 1e-12)
