@@ -1,9 +1,11 @@
 """Delimited-file ingestion, estimation jobs, and report emission.
 
 File format: comma-separated, UTF-8, mandatory header row, ``.`` decimal
-separator, no thousands separators.  Rows with an empty value in a declared
-column are skipped (their row numbers are reported through a warning);
-non-numeric content in a declared column is a hard :class:`ParseError`.
+separator, no thousands separators.  Header names are matched after
+trimming surrounding spaces.  Blank lines are ignored.  Rows with an empty
+value in a declared column are skipped (their file line numbers are
+reported through a warning); non-numeric content in a declared column is a
+hard :class:`ParseError` naming the file line.
 
 Reports are emitted deterministically: same results, byte-identical file.
 """
@@ -46,51 +48,56 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _read_rows(path, needed):
+def _read_columns(path, numeric, labels=()):
+    """Read the declared columns of a delimited file in one pass.
+
+    Header names are matched after trimming; a name that appears twice is
+    read from its last copy.  ``numeric`` columns are parsed as floats and
+    ``labels`` columns kept as trimmed strings, each returned as a dict of
+    arrays.  Blank lines are ignored; a row with an empty (or absent) cell
+    in any declared column is skipped and reported by its file line.
+    """
+    names = list(numeric) + list(labels)
     try:
         fh = open(path, newline="", encoding="utf-8")
     except OSError as exc:
         raise IoError(f"cannot open {path}: {exc}") from exc
     with fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
             raise EmptyFileError(f"{path} has no header row")
-        header = [h.strip() for h in reader.fieldnames]
-        missing = [c for c in needed if c not in header]
+        position = {h.strip(): i for i, h in enumerate(header)}
+        missing = [c for c in names if c not in position]
         if missing:
             raise MissingColumnError(
                 f"{path} lacks declared column(s): {', '.join(missing)}"
             )
-        rows = list(reader)
-    if not rows:
-        raise EmptyFileError(f"{path} has a header but no data rows")
-    return rows
-
-
-def _parse_columns(path, rows, needed, label_cols=()):
-    """Parse the declared numeric columns and collect the label columns as
-    strings; rows with an empty value in any declared column (numeric or
-    label) are skipped and reported."""
-    parsed = {c: [] for c in needed}
-    labels = {c: [] for c in label_cols}
-    skipped = []
-    for i, row in enumerate(rows, start=2):  # data starts on line 2
-        cells = {c: (row.get(c) or "").strip() for c in needed}
-        label_cells = {c: (row.get(c) or "").strip() for c in label_cols}
-        if any(v == "" for v in cells.values()) or any(
-            v == "" for v in label_cells.values()
-        ):
-            skipped.append(i)
-            continue
-        for c, raw in cells.items():
+        index = [position[c] for c in names]
+        width, k = max(index) + 1, len(numeric)
+        numbers, strings, skipped = [], [], []
+        for row in reader:
+            if not row:
+                continue
+            row += [""] * (width - len(row))  # a short row's missing cells
+            cells = [row[i].strip() for i in index]
+            if "" in cells:
+                skipped.append(reader.line_num)
+                continue
             try:
-                parsed[c].append(float(raw))
+                numbers.extend(map(float, cells[:k]))
             except ValueError:
-                raise ParseError(
-                    f"{path}: row {i}, column {c!r}: cannot parse {raw!r} as a number"
-                ) from None
-        for c, raw in label_cells.items():
-            labels[c].append(raw)
+                for c, raw in zip(numeric, cells):
+                    try:
+                        float(raw)
+                    except ValueError:
+                        raise ParseError(
+                            f"{path}: row {reader.line_num}, column {c!r}: "
+                            f"cannot parse {raw!r} as a number"
+                        ) from None
+            strings.extend(cells[k:])
+    if not numbers and not skipped:
+        raise EmptyFileError(f"{path} has a header but no data rows")
     if skipped:
         _warnings.warn(
             f"{path}: skipped {len(skipped)} row(s) with missing declared "
@@ -99,10 +106,12 @@ def _parse_columns(path, rows, needed, label_cols=()):
             + ")",
             stacklevel=3,
         )
-    if not parsed[needed[0]]:
+    if not numbers:
         raise EmptyFileError(f"{path}: every data row was missing a declared field")
-    data = {c: np.array(v) for c, v in parsed.items()}
-    return data, {c: np.array(v, dtype=object) for c, v in labels.items()}
+    n = len(numbers) // k
+    columns = np.array(numbers).reshape(n, k).T
+    label_columns = np.array(strings, dtype=object).reshape(n, len(labels)).T
+    return dict(zip(numeric, columns)), dict(zip(labels, label_columns))
 
 
 def ingest_delimited(
@@ -121,15 +130,8 @@ def ingest_delimited(
     intercept column of ones is prepended to the declared covariates.
     """
     covariates = list(covariates)
-    needed = list(covariates)
-    if outcome:
-        needed.append(outcome)
-    if weight:
-        needed.append(weight)
-    label_cols = [c for c in (stratum, psu) if c]
-    rows = _read_rows(path, needed + label_cols)
-
-    data, labels = _parse_columns(path, rows, needed, label_cols)
+    needed = covariates + [c for c in (outcome, weight) if c]
+    data, labels = _read_columns(path, needed, [c for c in (stratum, psu) if c])
     X = np.column_stack(
         [np.ones(len(data[covariates[0]]))] + [data[c] for c in covariates]
     )
@@ -141,8 +143,8 @@ def ingest_delimited(
             y=data[outcome] if outcome else None,
             design=DesignInfo(
                 kind=DesignKind(design),
-                stratum=labels.get(stratum) if stratum else None,
-                psu=labels.get(psu) if psu else None,
+                stratum=labels.get(stratum),
+                psu=labels.get(psu),
             ),
         )
     if not outcome:
@@ -249,14 +251,23 @@ def run_estimation_job(job: EstimationJob):
     return rows
 
 
+def _write_table(path, header, rows, what="report"):
+    """Write a header and rows as a comma-separated table; a failure to
+    write becomes an :class:`IoError`."""
+    try:
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(header)
+            writer.writerows(rows)
+    except OSError as exc:
+        raise IoError(f"cannot write {what} to {path}: {exc}") from exc
+
+
 def _dump_weights(weight_dump, path):
     methods = list(weight_dump)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["unit"] + methods)
-        n = len(next(iter(weight_dump.values())))
-        for i in range(n):
-            writer.writerow([i] + [_fmt(float(weight_dump[m][i])) for m in methods])
+    n = len(next(iter(weight_dump.values())))
+    rows = ([i] + [_fmt(float(weight_dump[m][i])) for m in methods] for i in range(n))
+    _write_table(path, ["unit"] + methods, rows, what="weights")
 
 
 _COLUMN_ORDER = (
@@ -285,18 +296,14 @@ def emit_report(results, path):
     if not results:
         raise IoError("refusing to write an empty report")
     columns = [c for c in _COLUMN_ORDER if any(c in r for r in results)]
+    if not str(path).endswith(".json"):
+        _write_table(path, columns, ([_fmt(r.get(c)) for c in columns] for r in results))
+        return
     try:
-        if str(path).endswith(".json"):
-            doc = [{c: r.get(c) for c in columns} for r in results]
-            payload = json.dumps(doc, indent=2, allow_nan=True, sort_keys=False)
-            with open(path, "w", encoding="utf-8") as fh:
-                fh.write(payload + "\n")
-        else:
-            with open(path, "w", newline="", encoding="utf-8") as fh:
-                writer = csv.writer(fh, lineterminator="\n")
-                writer.writerow(columns)
-                for r in results:
-                    writer.writerow([_fmt(r.get(c)) for c in columns])
+        doc = [{c: r.get(c) for c in columns} for r in results]
+        payload = json.dumps(doc, indent=2, allow_nan=True, sort_keys=False)
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(payload + "\n")
     except OSError as exc:
         raise IoError(f"cannot write report to {path}: {exc}") from exc
 
@@ -320,32 +327,15 @@ _SIM_COLUMNS = (
 def emit_simulation_report(report: SimulationReport, path):
     """Write the Monte Carlo summary as a delimited table.
 
-    One row per (scenario, participation rate, method); columns mirror the
-    study's metric set.  Deterministic byte-for-byte for identical reports.
+    One row per (scenario, participation rate, method); every column but
+    ``warnings`` is the :class:`CellResult` field of its name.  Deterministic
+    byte-for-byte for identical reports.
     """
     if not report.cells:
         raise IoError("refusing to write an empty simulation report")
-    try:
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(_SIM_COLUMNS)
-            for cell in report.cells:
-                warn = "; ".join(f"{k}: {v}" for k, v in cell.warning_counts)
-                writer.writerow(
-                    [
-                        cell.scenario,
-                        _fmt(cell.f_c),
-                        cell.method,
-                        _fmt(cell.pct_rb),
-                        _fmt(cell.v_emp),
-                        _fmt(cell.vr),
-                        _fmt(cell.mse),
-                        _fmt(cell.cp),
-                        cell.n_replicates,
-                        cell.n_excluded,
-                        _fmt(cell.mean_cohort_size),
-                        warn,
-                    ]
-                )
-    except OSError as exc:
-        raise IoError(f"cannot write report to {path}: {exc}") from exc
+    rows = (
+        [_fmt(getattr(cell, c)) for c in _SIM_COLUMNS[:-1]]
+        + ["; ".join(f"{k}: {v}" for k, v in cell.warning_counts)]
+        for cell in report.cells
+    )
+    _write_table(path, _SIM_COLUMNS, rows)

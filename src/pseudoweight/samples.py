@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import RescaleError
+from .errors import DesignError, RescaleError
 
 
 class DesignKind(str, enum.Enum):
@@ -90,11 +90,17 @@ class DesignInfo:
     @functools.cached_property
     def psu_codes(self) -> PsuCodes | None:
         """The labels' :class:`PsuCodes`, computed on first use; None when
-        either label array is missing."""
+        either label array is missing.  Raises :class:`DesignError` when
+        the labels of a column cannot be sorted against each other."""
         if self.stratum is None or self.psu is None:
             return None
-        strata, stratum_index = np.unique(self.stratum, return_inverse=True)
-        psu_labels, psu_index = np.unique(self.psu, return_inverse=True)
+        try:
+            strata, stratum_index = np.unique(self.stratum, return_inverse=True)
+            psu_labels, psu_index = np.unique(self.psu, return_inverse=True)
+        except TypeError as exc:
+            raise DesignError(
+                f"stratum and psu labels must be mutually sortable ({exc})"
+            ) from None
         pairs, psu_of_unit = np.unique(
             stratum_index * len(psu_labels) + psu_index, return_inverse=True
         )
@@ -265,11 +271,14 @@ def validate_paired_samples(cohort: CohortSample, survey: SurveySample) -> Valid
         elif len(design.stratum) != survey.n_p or len(design.psu) != survey.n_p:
             v.append("stratum/psu label length does not match survey rows")
         else:
-            v.extend(
-                f"stratum {label} has < 2 PSUs; collapse it with a neighbouring "
-                "stratum before analysis"
-                for label in design.psu_codes.single_psu_strata()
-            )
+            try:
+                v.extend(
+                    f"stratum {label} has < 2 PSUs; collapse it with a neighbouring "
+                    "stratum before analysis"
+                    for label in design.psu_codes.single_psu_strata()
+                )
+            except DesignError as exc:
+                v.append(str(exc))
     return ValidationReport(violations=tuple(v))
 
 

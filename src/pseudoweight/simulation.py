@@ -335,8 +335,8 @@ def _run_cell(
 
     for rep in range(replicates):
         rng = _replicate_seed(base_seed, cell.scenario, cell.f_c_target, rep)
-        inc_c = rng.random(population.N) < pi_c
-        inc_p = rng.random(population.N) < pi_p
+        inc_c = poisson_sample(pi_c, rng)
+        inc_p = poisson_sample(pi_p, rng)
 
         cohort = CohortSample(y=population.y[inc_c], X=population.X[inc_c])
         survey = SurveySample(

@@ -73,6 +73,22 @@ class TestIngest:
             cohort = ingest_delimited(path, covariates=["x1"], outcome="y")
         assert cohort.n_c == 2
 
+    def test_header_names_matched_after_trimming(self, tmp_path):
+        path = write(tmp_path / "c.csv", "y, x1\n1,0.5\n2,1.5\n")
+        cohort = ingest_delimited(path, covariates=["x1"], outcome="y")
+        np.testing.assert_array_equal(cohort.X[:, 1], [0.5, 1.5])
+
+    def test_parse_error_names_the_file_line(self, tmp_path):
+        path = write(tmp_path / "c.csv", "y,x1\n1,0.5\n\n2,abc\n")
+        with pytest.raises(ParseError, match="row 4, column 'x1'"):
+            ingest_delimited(path, covariates=["x1"], outcome="y")
+
+    def test_skip_notice_names_the_file_line(self, tmp_path):
+        path = write(tmp_path / "c.csv", "y,x1\n1,0.5\n\n,1.5\n3,2.5\n")
+        with pytest.warns(UserWarning, match=r"skipped 1 row\(s\) .*\(rows 4\)"):
+            cohort = ingest_delimited(path, covariates=["x1"], outcome="y")
+        assert cohort.n_c == 2
+
     def test_round_trip_precision(self, tmp_path):
         values = [0.1234567890123456, 9876.543210987654, 1e-15]
         path = write(
@@ -257,6 +273,20 @@ class TestEstimationJob:
         )
         np.testing.assert_array_equal(dumped, result.weights)
 
+    def test_unwritable_weight_dump_is_io_error(self, tmp_path):
+        cohort_path, survey_path, _ = self_paired_files(tmp_path, n=25, seed=3)
+        job = EstimationJob(
+            cohort_path=cohort_path,
+            survey_path=survey_path,
+            outcome_column="y",
+            covariate_columns=("x1", "x2"),
+            weight_column="w",
+            methods=(Method.FDW,),
+            dump_weights_path=str(tmp_path),
+        )
+        with pytest.raises(IoError, match="cannot write weights"):
+            run_estimation_job(job)
+
     def test_weight_summary_reported(self, tmp_path):
         cohort_path, survey_path, _ = self_paired_files(tmp_path)
         job = EstimationJob(
@@ -356,6 +386,25 @@ class TestCli:
         assert code == 1
         err = json.loads(capsys.readouterr().err.strip())
         assert "error" in err and "message" in err
+
+    def test_unwritable_weight_dump_is_machine_readable(self, tmp_path, capsys):
+        cohort_path, survey_path, _ = self_paired_files(tmp_path, n=25, seed=3)
+        code = main(
+            [
+                "estimate",
+                "--cohort", cohort_path,
+                "--survey", survey_path,
+                "--outcome", "y",
+                "--covariates", "x1,x2",
+                "--weight", "w",
+                "--methods", "fdw",
+                "--dump-weights", str(tmp_path),
+                "--out", str(tmp_path / "r.csv"),
+            ]
+        )
+        assert code == 1
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "IoError"
 
     def test_simulate_deterministic_reports(self, tmp_path):
         cfg = {

@@ -75,6 +75,17 @@ class TestValidation:
         report = validate_paired_samples(make_cohort(), bad)
         assert any("stratum 'b' has < 2 PSUs" in v for v in report.violations)
 
+    def test_unsortable_labels_reported(self):
+        s = make_survey(n=4)
+        design = DesignInfo(
+            kind=DesignKind.STRATIFIED_WR,
+            stratum=np.array(["a", 1, "a", 1], dtype=object),
+            psu=np.array([1, 2, 3, 4]),
+        )
+        bad = SurveySample(X=s.X, d=s.d, design=design)
+        report = validate_paired_samples(make_cohort(), bad)
+        assert any("must be mutually sortable" in v for v in report.violations)
+
     def test_non_finite_entries_reported(self):
         c = make_cohort()
         y = c.y.copy()

@@ -273,6 +273,16 @@ class TestStratifiedDesign:
         with pytest.raises(DesignError, match="stratum 'b' has a single PSU"):
             design_variance_stratified(survey, np.full(3, 0.2))
 
+    def test_unsortable_labels_rejected(self):
+        design = DesignInfo(
+            kind=DesignKind.STRATIFIED_WR,
+            stratum=np.array(["a", 1, "a", 1], dtype=object),
+            psu=np.array([1, 2, 3, 4]),
+        )
+        survey = SurveySample(X=np.ones((4, 1)), d=np.full(4, 2.0), design=design)
+        with pytest.raises(DesignError, match="must be mutually sortable"):
+            design_variance_stratified(survey, np.full(4, 0.2))
+
     def test_iid_treats_units_as_psus(self):
         rng = np.random.default_rng(28)
         X = np.column_stack([np.ones(12), rng.normal(size=12)])
