@@ -33,6 +33,7 @@ from .estimators import (
     alps_weights,
     clw_weights,
     estimate,
+    estimate_each,
     estimate_from_fit,
     fdw_weights,
     fit_for_method,

@@ -2,7 +2,8 @@
 Monte Carlo study runner.
 
 Both subcommands exit 0 on success and 1 on failure, printing a single
-machine-readable JSON error line to stderr on failure.
+machine-readable JSON error line to stderr on failure.  A malformed
+argument is a usage error reported by the argument parser (exit 2).
 """
 
 from __future__ import annotations
@@ -20,10 +21,12 @@ from .simulation import (
     DEFAULT_METHODS,
     PopulationConfig,
     Scenario,
+    ScenarioConfig,
     run_monte_carlo,
 )
 
-_ALL_METHODS = ",".join(m.value for m in Method)
+#: ``tw`` needs the known participation rates, so it runs only under ``simulate``.
+_ESTIMATE_METHODS = ",".join(m.value for m in Method if m is not Method.TW)
 
 
 def _parse_methods(raw: str):
@@ -32,11 +35,15 @@ def _parse_methods(raw: str):
         name = name.strip().lower()
         if not name:
             continue
+        if name == Method.TW.value:
+            raise argparse.ArgumentTypeError(
+                "method 'tw' needs known participation rates and runs only under simulate"
+            )
         try:
             out.append(Method(name))
         except ValueError:
             raise argparse.ArgumentTypeError(
-                f"unknown method {name!r}; choose from {_ALL_METHODS}"
+                f"unknown method {name!r}; choose from {_ESTIMATE_METHODS}"
             ) from None
     if not out:
         raise argparse.ArgumentTypeError("no methods given")
@@ -75,7 +82,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--methods",
         type=_parse_methods,
         default=(Method.ALP,),
-        help=f"comma-separated methods from: {_ALL_METHODS} (default alp)",
+        help=f"comma-separated methods from: {_ESTIMATE_METHODS} (default alp)",
     )
     est.add_argument(
         "--truncate-pi",
@@ -133,17 +140,52 @@ _SIM_DEFAULTS = {
 }
 
 
+def _load_config(path):
+    """The user's configuration document: a JSON object with known keys."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            user = json.load(fh)
+        except ValueError as exc:
+            raise PseudoweightError(f"{path} is not valid JSON: {exc}") from exc
+    if not isinstance(user, dict):
+        raise PseudoweightError(
+            f"{path} must hold a JSON object, not {type(user).__name__}"
+        )
+    unknown = set(user) - set(_SIM_DEFAULTS)
+    if unknown:
+        raise PseudoweightError(
+            f"unknown configuration key(s): {', '.join(sorted(unknown))}"
+        )
+    return user
+
+
+def _study_arguments(cfg):
+    """``run_monte_carlo``'s arguments from the merged configuration; a
+    value the study cannot take raises :class:`PseudoweightError`."""
+    try:
+        study = dict(
+            population_config=PopulationConfig(
+                N=int(cfg["population_size"]), seed=int(cfg["population_seed"])
+            ),
+            scenarios=tuple(Scenario(s) for s in cfg["scenarios"]),
+            f_c_grid=tuple(float(f) for f in cfg["f_c_grid"]),
+            methods=tuple(Method(m) for m in cfg["methods"]),
+            replicates=int(cfg["replicates"]),
+            base_seed=int(cfg["base_seed"]),
+            f_p=float(cfg["f_p"]),
+        )
+        # the rate check every study cell makes, run before the first cell
+        for f_c in study["f_c_grid"]:
+            ScenarioConfig(Scenario.LOG_LINK, f_c, study["f_p"])
+    except (TypeError, ValueError) as exc:
+        raise PseudoweightError(f"invalid configuration: {exc}") from exc
+    return study
+
+
 def _run_simulate(args) -> int:
     cfg = dict(_SIM_DEFAULTS)
     if args.config:
-        with open(args.config, encoding="utf-8") as fh:
-            user = json.load(fh)
-        unknown = set(user) - set(_SIM_DEFAULTS)
-        if unknown:
-            raise PseudoweightError(
-                f"unknown configuration key(s): {', '.join(sorted(unknown))}"
-            )
-        cfg.update(user)
+        cfg.update(_load_config(args.config))
     if args.out is not None:
         cfg["output"] = args.out
     if args.seed is not None:
@@ -153,15 +195,7 @@ def _run_simulate(args) -> int:
     if args.population_size is not None:
         cfg["population_size"] = args.population_size
 
-    report = run_monte_carlo(
-        PopulationConfig(N=int(cfg["population_size"]), seed=int(cfg["population_seed"])),
-        scenarios=tuple(Scenario(s) for s in cfg["scenarios"]),
-        f_c_grid=tuple(float(f) for f in cfg["f_c_grid"]),
-        methods=tuple(Method(m) for m in cfg["methods"]),
-        replicates=int(cfg["replicates"]),
-        base_seed=int(cfg["base_seed"]),
-        f_p=float(cfg["f_p"]),
-    )
+    report = run_monte_carlo(**_study_arguments(cfg))
     emit_simulation_report(report, cfg["output"])
     return 0
 

@@ -38,20 +38,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, EmptyInputError, ValidationError
+from .errors import DomainError, EmptyInputError, PseudoweightError, ValidationError
 from .samples import (
     CohortSample,
     FitFlavor,
     PropensityFit,
     SurveySample,
+    WeightedEstimate,
     build_pooled_matrix,
     default_lambda,
     rdw_rescale_factor,
     validate_paired_samples,
 )
-from .solvers import SolverConfig, fit_clw_score, fit_pooled_logistic
-from .variance import VarianceBreakdown, fixed_weight_variance, tl_variance
-from .samples import WeightedEstimate
+from .solvers import fit_clw_score, fit_pooled_logistic
+from .variance import fixed_weight_variance, tl_variance
 
 Z_95 = 1.96
 
@@ -161,10 +161,7 @@ def fit_key(method: Method, cohort: CohortSample, survey: SurveySample):
 
 
 def fit_for_method(
-    method: Method,
-    cohort: CohortSample,
-    survey: SurveySample,
-    config: SolverConfig | None = None,
+    method: Method, cohort: CohortSample, survey: SurveySample
 ) -> PropensityFit | None:
     """Run the propensity fit a method needs (None for naive/tw); methods
     with the same :func:`fit_key` (``alp`` and ``fdw``) get the same fit."""
@@ -173,8 +170,8 @@ def fit_for_method(
         return None
     flavor, multiplier = key
     if flavor is FitFlavor.CLW_SCORE:
-        return fit_clw_score(cohort, survey, config)
-    return fit_pooled_logistic(build_pooled_matrix(cohort, survey, multiplier), config)
+        return fit_clw_score(cohort, survey)
+    return fit_pooled_logistic(build_pooled_matrix(cohort, survey, multiplier))
 
 
 def _interval(mu: float, var: float | None):
@@ -193,39 +190,21 @@ def estimate_from_fit(
     survey: SurveySample,
     true_participation: np.ndarray | None = None,
 ) -> WeightedEstimate:
-    """Turn a propensity fit into a weighted estimate with variance."""
+    """Turn a propensity fit into a weighted estimate with variance (none
+    for naive); ``true_participation`` is read only by tw."""
     method = spec.method
     warnings: list[str] = []
-
+    p_override_c = p_override_s = None
     if method is Method.NAIVE:
-        mu = float(np.mean(cohort.y))
-        return WeightedEstimate(
-            method=method.value,
-            mu_hat=mu,
-            weights=np.ones(cohort.n_c),
-            var_hat=None,
-            ci_low=None,
-            ci_high=None,
-        )
-
-    if method is Method.TW:
+        w = np.ones(cohort.n_c)
+    elif method is Method.TW:
         if true_participation is None:
             raise ValueError("the true-weight method needs the participation probabilities")
         pi = np.asarray(true_participation, dtype=float)
         if np.any(pi <= 0) or np.any(pi > 1):
             raise DomainError("true participation probabilities must lie in (0, 1]")
         w = 1.0 / pi
-        mu = hajek_mean(cohort.y, w)
-        vb = fixed_weight_variance(cohort, pi, mu)
-        lo, hi = _interval(mu, vb.v_total)
-        return WeightedEstimate(
-            method=method.value, mu_hat=mu, weights=w,
-            var_hat=vb.v_total, ci_low=lo, ci_high=hi,
-        )
-
-    assert fit is not None
-    p_override_c = p_override_s = None
-    if method is Method.ALP:
+    elif method is Method.ALP:
         n_above = int(np.sum(fit.p_hat_cohort > 0.5))
         if n_above:
             warnings.append(f"pi-hat-above-one: {n_above}")
@@ -245,27 +224,56 @@ def estimate_from_fit(
         raise ValueError(f"unknown method {method!r}")
 
     mu = hajek_mean(cohort.y, w)
-    vb = tl_variance(
-        cohort, survey, fit, w, mu, p_cohort=p_override_c, p_survey=p_override_s
-    )
-    warnings.extend(vb.warnings)
-    lo, hi = _interval(mu, vb.v_total)
+    var = None
+    if method is Method.TW:
+        var = fixed_weight_variance(cohort, pi, mu).v_total
+    elif method is not Method.NAIVE:
+        vb = tl_variance(
+            cohort, survey, fit, w, mu, p_cohort=p_override_c, p_survey=p_override_s
+        )
+        warnings.extend(vb.warnings)
+        var = vb.v_total
+    lo, hi = _interval(mu, var)
     return WeightedEstimate(
         method=method.value,
         mu_hat=mu,
         weights=w,
-        var_hat=vb.v_total,
+        var_hat=var,
         ci_low=lo,
         ci_high=hi,
         warnings=tuple(warnings),
     )
 
 
+def estimate_each(specs, cohort, survey, true_participation=None) -> list:
+    """Run every spec on already-validated samples, in order.
+
+    Each entry of the result is the spec's :class:`WeightedEstimate` or the
+    :class:`PseudoweightError` that stopped it.  Specs whose methods have
+    equal :func:`fit_key` share one fit, or that fit's error.
+    """
+    fits, results = {}, []
+    for spec in specs:
+        try:
+            key = fit_key(spec.method, cohort, survey)
+            if key not in fits:
+                try:
+                    fits[key] = fit_for_method(spec.method, cohort, survey)
+                except PseudoweightError as exc:
+                    fits[key] = exc
+            result = fits[key]
+            if not isinstance(result, PseudoweightError):
+                result = estimate_from_fit(spec, result, cohort, survey, true_participation)
+        except PseudoweightError as exc:
+            result = exc
+        results.append(result)
+    return results
+
+
 def estimate(
     spec: Method | MethodSpec,
     cohort: CohortSample,
     survey: SurveySample,
-    config: SolverConfig | None = None,
     true_participation: np.ndarray | None = None,
 ) -> WeightedEstimate:
     """Validate, fit, weight, and estimate in one call.
@@ -278,5 +286,7 @@ def estimate(
     report = validate_paired_samples(cohort, survey)
     if not report.ok:
         raise ValidationError(report.violations)
-    fit = fit_for_method(spec.method, cohort, survey, config)
-    return estimate_from_fit(spec, fit, cohort, survey, true_participation)
+    (result,) = estimate_each([spec], cohort, survey, true_participation)
+    if isinstance(result, PseudoweightError):
+        raise result
+    return result

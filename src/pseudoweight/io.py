@@ -24,9 +24,10 @@ from .errors import (
     IoError,
     MissingColumnError,
     ParseError,
+    PseudoweightError,
     ValidationError,
 )
-from .estimators import Method, MethodSpec, estimate, hajek_mean
+from .estimators import Method, MethodSpec, estimate_each, hajek_mean
 from .samples import (
     CohortSample,
     DesignInfo,
@@ -48,6 +49,14 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def _open(path):
+    """Open a delimited file for reading; a failure becomes an :class:`IoError`."""
+    try:
+        return open(path, newline="", encoding="utf-8")
+    except OSError as exc:
+        raise IoError(f"cannot open {path}: {exc}") from exc
+
+
 def _read_columns(path, numeric, labels=()):
     """Read the declared columns of a delimited file in one pass.
 
@@ -58,11 +67,7 @@ def _read_columns(path, numeric, labels=()):
     in any declared column is skipped and reported by its file line.
     """
     names = list(numeric) + list(labels)
-    try:
-        fh = open(path, newline="", encoding="utf-8")
-    except OSError as exc:
-        raise IoError(f"cannot open {path}: {exc}") from exc
-    with fh:
+    with _open(path) as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None:
@@ -130,6 +135,8 @@ def ingest_delimited(
     intercept column of ones is prepended to the declared covariates.
     """
     covariates = list(covariates)
+    if not covariates:
+        raise MissingColumnError(f"{path}: no covariate columns declared")
     needed = covariates + [c for c in (outcome, weight) if c]
     data, labels = _read_columns(path, needed, [c for c in (stratum, psu) if c])
     X = np.column_stack(
@@ -153,7 +160,7 @@ def ingest_delimited(
 
 
 def _header(path):
-    with open(path, newline="", encoding="utf-8") as fh:
+    with _open(path) as fh:
         first = next(csv.reader(fh), None)
     if first is None:
         raise EmptyFileError(f"{path} has no header row")
@@ -190,7 +197,8 @@ def run_estimation_job(job: EstimationJob):
     When the survey file carries the outcome column, each row also gets the
     design-weighted reference estimate, the relative difference from it, and
     the estimated squared error against it.  Warnings raised anywhere in the
-    pipeline surface in the row's ``warnings`` field.
+    pipeline surface in the row's ``warnings`` field.  The first package
+    error, in method order, is raised.
     """
     with _warnings.catch_warnings(record=True) as caught:
         _warnings.simplefilter("always")
@@ -219,11 +227,12 @@ def run_estimation_job(job: EstimationJob):
     if survey.y is not None:
         mu_ref = hajek_mean(survey.y, survey.d)
 
+    specs = [MethodSpec(Method(m), truncate_pi_at_one=job.truncate_pi) for m in job.methods]
     rows = []
     weight_dump = {}
-    for m in job.methods:
-        spec = MethodSpec(method=Method(m), truncate_pi_at_one=job.truncate_pi)
-        result = estimate(spec, cohort, survey)
+    for result in estimate_each(specs, cohort, survey):
+        if isinstance(result, PseudoweightError):
+            raise result
         w_min, w_max, w_cv = _weight_summary(result.weights)
         row = {
             "method": result.method,

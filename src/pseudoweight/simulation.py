@@ -16,7 +16,7 @@ in any order.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import brentq
@@ -30,7 +30,7 @@ from .errors import (
     NonConvergenceError,
     PseudoweightError,
 )
-from .estimators import Method, MethodSpec, estimate_from_fit, fit_for_method, fit_key
+from .estimators import Method, MethodSpec, estimate_each
 from .samples import CohortSample, DesignInfo, DesignKind, SurveySample
 
 #: Slope coefficients of the participation models, shared by both scenarios.
@@ -316,10 +316,10 @@ def _run_cell(
         ) from exc
 
     d_pop = 1.0 / pi_p
+    specs = [MethodSpec(method=m) for m in methods]
     est = {m: [] for m in methods}
     var = {m: [] for m in methods}
     hits = {m: [] for m in methods}
-    excluded = {m: 0 for m in methods}
     warn_counts = {m: {} for m in methods}
     cohort_sizes = []
 
@@ -344,31 +344,10 @@ def _run_cell(
             d=d_pop[inc_p],
             design=DesignInfo(kind=DesignKind.POISSON),
         )
-        pi_true = pi_c[inc_c]
         cohort_sizes.append(cohort.n_c)
-
-        # one fit per fit key; a failed fit is kept as its error, so every
-        # method that needs it is excluded without refitting
-        fits = {None: None}
-        for m in methods:
-            try:
-                key = fit_key(m, cohort, survey)
-                if key not in fits:
-                    try:
-                        fits[key] = fit_for_method(m, cohort, survey)
-                    except PseudoweightError as exc:
-                        fits[key] = exc
-                if isinstance(fits[key], PseudoweightError):
-                    raise fits[key]
-                result = estimate_from_fit(
-                    MethodSpec(method=m),
-                    fits[key],
-                    cohort,
-                    survey,
-                    true_participation=pi_true if m is Method.TW else None,
-                )
-            except PseudoweightError:
-                excluded[m] += 1
+        results = estimate_each(specs, cohort, survey, true_participation=pi_c[inc_c])
+        for m, result in zip(methods, results):
+            if isinstance(result, PseudoweightError):
                 continue
             est[m].append(result.mu_hat)
             note_warnings(m, result.warnings)
@@ -388,7 +367,7 @@ def _run_cell(
                 f_c=cell.f_c_target,
                 method=m.value,
                 n_replicates=len(est[m]),
-                n_excluded=excluded[m],
+                n_excluded=replicates - len(est[m]),
                 mean_cohort_size=float(np.mean(cohort_sizes)),
                 pct_rb=metrics.pct_rb,
                 v_emp=metrics.v_emp,

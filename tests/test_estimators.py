@@ -1,11 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
 
 from pseudoweight import (
     CohortSample,
     DomainError,
     EmptyInputError,
     Method,
+    MethodSpec,
+    PseudoweightError,
     RescaleError,
     SurveySample,
     ValidationError,
@@ -13,11 +17,14 @@ from pseudoweight import (
     alps_weights,
     clw_weights,
     estimate,
+    estimate_each,
     fdw_weights,
     fit_for_method,
     hajek_mean,
     rdw_weights,
 )
+
+PROPERTY_SETTINGS = settings(max_examples=150, deadline=None, derandomize=True)
 
 
 class TestWeightFormulas:
@@ -110,13 +117,36 @@ class TestHajekMean:
         y = np.array([1.0, 2.0, 6.0])
         assert hajek_mean(y, np.full(3, 2.5)) == pytest.approx(y.mean())
 
-    def test_scale_invariance(self):
-        rng = np.random.default_rng(15)
-        y = rng.normal(size=30)
-        w = rng.uniform(0.5, 5.0, 30)
+    @PROPERTY_SETTINGS
+    @given(
+        rows=st.lists(
+            st.tuples(
+                # outcomes kept clear of underflow, where products lose their bits
+                st.floats(-1e3, 1e3).filter(lambda v: v == 0 or abs(v) > 1e-200),
+                st.floats(1e-3, 1e3),
+            ),
+            min_size=1,
+            max_size=50,
+        ),
+        scale=st.floats(1e-6, 1e6),
+    )
+    def test_scale_invariance(self, rows, scale):
+        y, w = np.array(rows).T
         a = hajek_mean(y, w)
-        b = hajek_mean(y, 10.0 * w)
-        assert a == pytest.approx(b, abs=1e-12)
+        b = hajek_mean(y, scale * w)
+        # rounding in the two sums is bounded by the size of the outcomes
+        assert a == pytest.approx(b, rel=0, abs=1e-12 * np.abs(y).max())
+
+    @PROPERTY_SETTINGS
+    @given(
+        n=st.integers(1, 3000),
+        seed=st.integers(0, 2**32 - 1),
+        loc=st.floats(-1e6, 1e6),
+        spread=st.floats(1e-3, 1e6),
+    )
+    def test_unit_weights_give_the_plain_mean_bit_for_bit(self, n, seed, loc, spread):
+        y = np.random.default_rng(seed).normal(loc, spread, n)
+        assert hajek_mean(y, np.ones(n)) == float(np.mean(y))
 
     def test_empty_rejected(self):
         with pytest.raises(EmptyInputError):
@@ -203,8 +233,42 @@ class TestEstimate:
         assert rel.max() < 0.02
         assert abs(alp.mu_hat - clw.mu_hat) / abs(clw.mu_hat) < 0.01
 
+    @PROPERTY_SETTINGS
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_c=st.integers(20, 150),
+        n_p=st.integers(20, 200),
+        d_scale=st.floats(2.0, 60.0),
+    )
+    def test_alps_mean_is_the_odds_weight_mean_on_its_scaled_fit(
+        self, seed, n_c, n_p, d_scale
+    ):
+        # exp(-b1 . x1) is proportional to (1 - p)/p of the scaled fit, so
+        # the two Hajek means agree
+        cohort, survey = synthetic_pair(seed, n_c, n_p, d_scale)
+        try:
+            fit = fit_for_method(Method.ALPS, cohort, survey)
+            mu = estimate(Method.ALPS, cohort, survey).mu_hat
+        except PseudoweightError:
+            reject()
+        odds_mean = hajek_mean(cohort.y, alp_weights(fit.p_hat_cohort))
+        assert mu == pytest.approx(odds_mean, rel=1e-9)
+
     def test_rare_participation_alp_fdw_means_close(self):
         cohort, survey = synthetic_pair(seed=6, n_c=40, n_p=250, d_scale=60.0)
         alp = estimate(Method.ALP, cohort, survey)
         fdw = estimate(Method.FDW, cohort, survey)
         assert abs(alp.mu_hat - fdw.mu_hat) / abs(alp.mu_hat) < 0.01
+
+
+class TestEstimateEach:
+    def test_each_spec_gets_its_estimate_or_its_error(self):
+        # a survey this light makes rdw's rescale factor nonpositive
+        cohort, survey = synthetic_pair(n_c=200, n_p=20, d_scale=1.25)
+        specs = [MethodSpec(m) for m in (Method.ALP, Method.RDW, Method.NAIVE)]
+        alp, rdw, naive = estimate_each(specs, cohort, survey)
+        assert isinstance(rdw, RescaleError)
+        ref = estimate(Method.ALP, cohort, survey)
+        assert (alp.mu_hat, alp.var_hat) == (ref.mu_hat, ref.var_hat)
+        assert naive.mu_hat == float(np.mean(cohort.y))
+

@@ -21,6 +21,7 @@ from pseudoweight import (
     ingest_delimited,
     run_estimation_job,
 )
+from pseudoweight import estimators, io
 from pseudoweight.cli import main
 
 
@@ -72,6 +73,11 @@ class TestIngest:
         with pytest.warns(UserWarning, match="skipped 1 row"):
             cohort = ingest_delimited(path, covariates=["x1"], outcome="y")
         assert cohort.n_c == 2
+
+    def test_empty_covariate_list_is_a_typed_error(self, tmp_path):
+        path = write(tmp_path / "c.csv", "y,x1\n1,0.5\n")
+        with pytest.raises(MissingColumnError, match="no covariate columns declared"):
+            ingest_delimited(path, covariates=[], outcome="y")
 
     def test_header_names_matched_after_trimming(self, tmp_path):
         path = write(tmp_path / "c.csv", "y, x1\n1,0.5\n2,1.5\n")
@@ -154,6 +160,20 @@ def self_paired_files(tmp_path, n=60, seed=0):
         write(tmp_path / "survey.csv", survey),
         y,
     )
+
+
+def random_pair_files(tmp_path):
+    """A 30-row cohort and a 40-row survey on which every method fits: the
+    two paths, then the columns written (y and x1; x1 and w)."""
+    rng = np.random.default_rng(4)
+    xc = rng.normal(0.5, 1.0, 30)
+    yc = 1.0 + xc + rng.normal(size=30)
+    xs = rng.normal(size=40)
+    d = rng.uniform(2.0, 20.0, 40)
+    cohort = "y,x1\n" + "".join(f"{a!r},{b!r}\n" for a, b in zip(yc.tolist(), xc.tolist()))
+    survey = "x1,w\n" + "".join(f"{a!r},{b!r}\n" for a, b in zip(xs.tolist(), d.tolist()))
+    paths = write(tmp_path / "c.csv", cohort), write(tmp_path / "s.csv", survey)
+    return paths, (yc, xc, xs, d)
 
 
 class TestEstimationJob:
@@ -273,6 +293,39 @@ class TestEstimationJob:
         )
         np.testing.assert_array_equal(dumped, result.weights)
 
+    def test_six_methods_fit_three_times_and_validate_once(self, tmp_path, monkeypatch):
+        # alp and fdw share the unscaled pooled fit; rdw and alps each scale it
+        (cohort_path, survey_path), _ = random_pair_files(tmp_path)
+        calls = {"fit": 0, "validate": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        for module in (estimators, io):
+            monkeypatch.setattr(
+                module,
+                "validate_paired_samples",
+                counted("validate", module.validate_paired_samples),
+            )
+        monkeypatch.setattr(
+            estimators, "fit_pooled_logistic", counted("fit", estimators.fit_pooled_logistic)
+        )
+        job = EstimationJob(
+            cohort_path=cohort_path,
+            survey_path=survey_path,
+            outcome_column="y",
+            covariate_columns=("x1",),
+            weight_column="w",
+            methods=tuple(m for m in Method if m is not Method.TW),
+        )
+        rows = run_estimation_job(job)
+        assert [r["method"] for r in rows] == ["naive", "rdw", "fdw", "alp", "clw", "alps"]
+        assert calls == {"fit": 3, "validate": 1}
+
     def test_unwritable_weight_dump_is_io_error(self, tmp_path):
         cohort_path, survey_path, _ = self_paired_files(tmp_path, n=25, seed=3)
         job = EstimationJob(
@@ -300,6 +353,16 @@ class TestEstimationJob:
         assert row["w_min"] == pytest.approx(1.0, abs=1e-6)
         assert row["w_max"] == pytest.approx(1.0, abs=1e-6)
         assert row["w_cv"] == pytest.approx(0.0, abs=1e-6)
+
+
+ESTIMATE_ARGV = [
+    "estimate",
+    "--cohort", "c.csv",
+    "--survey", "s.csv",
+    "--outcome", "y",
+    "--covariates", "x1",
+    "--weight", "w",
+]
 
 
 class TestCli:
@@ -331,19 +394,7 @@ class TestCli:
         np.testing.assert_allclose(alp_w, 1.0, atol=1e-6)
 
     def test_estimate_iid_design_matches_library(self, tmp_path):
-        rng = np.random.default_rng(4)
-        Xc = np.column_stack([np.ones(30), rng.normal(0.5, 1.0, 30)])
-        yc = 1.0 + Xc[:, 1] + rng.normal(size=30)
-        Xs = np.column_stack([np.ones(40), rng.normal(size=40)])
-        d = rng.uniform(2.0, 20.0, 40)
-        cohort_rows = zip(yc.tolist(), Xc[:, 1].tolist())
-        survey_rows = zip(Xs[:, 1].tolist(), d.tolist())
-        cohort_path = write(
-            tmp_path / "c.csv", "y,x1\n" + "".join(f"{a!r},{b!r}\n" for a, b in cohort_rows)
-        )
-        survey_path = write(
-            tmp_path / "s.csv", "x1,w\n" + "".join(f"{a!r},{b!r}\n" for a, b in survey_rows)
-        )
+        (cohort_path, survey_path), (yc, xc, xs, d) = random_pair_files(tmp_path)
         out = tmp_path / "report.csv"
         methods = ("alp", "fdw", "rdw", "clw", "alps")
         code = main(
@@ -360,8 +411,10 @@ class TestCli:
             ]
         )
         assert code == 0
-        cohort = CohortSample(y=yc, X=Xc)
-        survey = SurveySample(X=Xs, d=d, design=DesignInfo(kind=DesignKind.IID))
+        cohort = CohortSample(y=yc, X=np.column_stack([np.ones(30), xc]))
+        survey = SurveySample(
+            X=np.column_stack([np.ones(40), xs]), d=d, design=DesignInfo(kind=DesignKind.IID)
+        )
         lines = out.read_text().splitlines()
         assert len(lines) == 1 + len(methods)
         for line, method in zip(lines[1:], methods):
@@ -405,6 +458,83 @@ class TestCli:
         assert code == 1
         err = json.loads(capsys.readouterr().err.strip())
         assert err["error"] == "IoError"
+
+    def test_missing_survey_file_is_io_error(self, tmp_path, capsys):
+        (cohort_path, _), _ = random_pair_files(tmp_path)
+        code = main(
+            [
+                "estimate",
+                "--cohort", cohort_path,
+                "--survey", str(tmp_path / "missing.csv"),
+                "--outcome", "y",
+                "--covariates", "x1",
+                "--weight", "w",
+                "--out", str(tmp_path / "r.csv"),
+            ]
+        )
+        assert code == 1
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "IoError"
+        assert err["message"].startswith(f"cannot open {tmp_path / 'missing.csv'}")
+
+    def test_empty_covariate_list_is_machine_readable(self, tmp_path, capsys):
+        (cohort_path, survey_path), _ = random_pair_files(tmp_path)
+        code = main(
+            [
+                "estimate",
+                "--cohort", cohort_path,
+                "--survey", survey_path,
+                "--outcome", "y",
+                "--covariates", ",",
+                "--weight", "w",
+                "--out", str(tmp_path / "r.csv"),
+            ]
+        )
+        assert code == 1
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "MissingColumnError"
+        assert "no covariate columns declared" in err["message"]
+
+    @pytest.mark.parametrize(
+        "argv, config, code, fragment",
+        [
+            (ESTIMATE_ARGV + ["--methods", "alp,tw"], None, 2, "runs only under simulate"),
+            (["simulate"], '{"replicates": 3,', 1, "sim.json is not valid JSON"),
+            (["simulate"], '"abc"', 1, "sim.json must hold a JSON object, not str"),
+            (["simulate"], '{"scenarios": ["loglog"]}', 1, "'loglog' is not a valid Scenario"),
+            (["simulate"], '{"methods": ["alp", "xyz"]}', 1, "'xyz' is not a valid Method"),
+            (["simulate"], '{"f_c_grid": [0.05, 1.5]}', 1, "rate target must lie in (0, 1)"),
+            (["simulate", "--population-size", "10"], None, 1, "population size below 1000"),
+        ],
+        ids=[
+            "estimate-tw",
+            "malformed-json",
+            "config-not-an-object",
+            "unknown-scenario",
+            "unknown-method",
+            "rate-outside-unit-interval",
+            "tiny-population",
+        ],
+    )
+    def test_failure_prints_no_traceback(
+        self, tmp_path, monkeypatch, capsys, argv, config, code, fragment
+    ):
+        # exit 1 with one JSON line on stderr; a malformed argument is a
+        # usage error (exit 2) from the argument parser
+        monkeypatch.chdir(tmp_path)
+        if config is not None:
+            argv = argv + ["--config", write(tmp_path / "sim.json", config)]
+        try:
+            got = main(argv + ["--out", "r.csv"])
+        except SystemExit as exc:
+            got = exc.code
+        err = capsys.readouterr().err
+        assert got == code
+        assert fragment in err
+        if code == 1:
+            assert json.loads(err)["error"] == "PseudoweightError"
+            assert err.count("\n") == 1
+        assert not (tmp_path / "r.csv").exists()
 
     def test_simulate_deterministic_reports(self, tmp_path):
         cfg = {

@@ -17,7 +17,7 @@ from pseudoweight import (
     poisson_sample,
     run_monte_carlo,
 )
-from pseudoweight import simulation
+from pseudoweight import estimators
 from pseudoweight.simulation import FinitePopulation
 
 ANALYTIC_MEAN = 3.978  # from the covariate recipe's moments
@@ -226,7 +226,7 @@ def test_package_error_in_one_estimate_excludes_only_that_replicate(monkeypatch)
     baseline = run_monte_carlo(**study)
     assert all(c.n_excluded == 0 for c in baseline.cells)
 
-    real = simulation.estimate_from_fit
+    real = estimators.estimate_from_fit
     fdw_calls = []
 
     def failing_on_second_fdw(spec, *args, **kwargs):
@@ -236,7 +236,7 @@ def test_package_error_in_one_estimate_excludes_only_that_replicate(monkeypatch)
                 raise DesignError("injected design failure")
         return real(spec, *args, **kwargs)
 
-    monkeypatch.setattr(simulation, "estimate_from_fit", failing_on_second_fdw)
+    monkeypatch.setattr(estimators, "estimate_from_fit", failing_on_second_fdw)
     report = run_monte_carlo(**study)
 
     assert len(fdw_calls) == 6
