@@ -162,6 +162,12 @@ def _load_config(path):
 def _study_arguments(cfg):
     """``run_monte_carlo``'s arguments from the merged configuration; a
     value the study cannot take raises :class:`PseudoweightError`."""
+    for key in ("scenarios", "f_c_grid", "methods"):
+        if not isinstance(cfg[key], list):
+            raise PseudoweightError(
+                f"invalid configuration: {key!r} must be a list, "
+                f"not {type(cfg[key]).__name__}"
+            )
     try:
         study = dict(
             population_config=PopulationConfig(

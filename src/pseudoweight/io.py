@@ -198,8 +198,15 @@ def run_estimation_job(job: EstimationJob):
     design-weighted reference estimate, the relative difference from it, and
     the estimated squared error against it.  Warnings raised anywhere in the
     pipeline surface in the row's ``warnings`` field.  The first package
-    error, in method order, is raised.
+    error, in method order, is raised.  ``tw`` is rejected before either
+    file is read: it needs the known participation rates, which only a
+    simulated study has.
     """
+    methods = tuple(Method(m) for m in job.methods)
+    if Method.TW in methods:
+        raise PseudoweightError(
+            "method 'tw' needs known participation rates and runs only under simulate"
+        )
     with _warnings.catch_warnings(record=True) as caught:
         _warnings.simplefilter("always")
         cohort = ingest_delimited(
@@ -227,7 +234,7 @@ def run_estimation_job(job: EstimationJob):
     if survey.y is not None:
         mu_ref = hajek_mean(survey.y, survey.d)
 
-    specs = [MethodSpec(Method(m), truncate_pi_at_one=job.truncate_pi) for m in job.methods]
+    specs = [MethodSpec(m, truncate_pi_at_one=job.truncate_pi) for m in methods]
     rows = []
     weight_dump = {}
     for result in estimate_each(specs, cohort, survey):

@@ -15,6 +15,7 @@ from pseudoweight import (
     Method,
     MissingColumnError,
     ParseError,
+    PseudoweightError,
     SurveySample,
     emit_report,
     estimate,
@@ -326,6 +327,20 @@ class TestEstimationJob:
         assert [r["method"] for r in rows] == ["naive", "rdw", "fdw", "alp", "clw", "alps"]
         assert calls == {"fit": 3, "validate": 1}
 
+    def test_tw_is_rejected_before_any_file_is_read(self, tmp_path):
+        # neither file exists, so reading one would raise IoError instead
+        job = EstimationJob(
+            cohort_path=str(tmp_path / "missing-cohort.csv"),
+            survey_path=str(tmp_path / "missing-survey.csv"),
+            outcome_column="y",
+            covariate_columns=("x1",),
+            weight_column="w",
+            methods=(Method.ALP, Method.TW),
+        )
+        with pytest.raises(PseudoweightError, match="runs only under simulate") as info:
+            run_estimation_job(job)
+        assert type(info.value) is PseudoweightError
+
     def test_unwritable_weight_dump_is_io_error(self, tmp_path):
         cohort_path, survey_path, _ = self_paired_files(tmp_path, n=25, seed=3)
         job = EstimationJob(
@@ -504,6 +519,8 @@ class TestCli:
             (["simulate"], '{"scenarios": ["loglog"]}', 1, "'loglog' is not a valid Scenario"),
             (["simulate"], '{"methods": ["alp", "xyz"]}', 1, "'xyz' is not a valid Method"),
             (["simulate"], '{"f_c_grid": [0.05, 1.5]}', 1, "rate target must lie in (0, 1)"),
+            (["simulate"], '{"scenarios": "log"}', 1, "'scenarios' must be a list, not str"),
+            (["simulate"], '{"methods": "alp"}', 1, "'methods' must be a list, not str"),
             (["simulate", "--population-size", "10"], None, 1, "population size below 1000"),
         ],
         ids=[
@@ -513,6 +530,8 @@ class TestCli:
             "unknown-scenario",
             "unknown-method",
             "rate-outside-unit-interval",
+            "scenarios-not-a-list",
+            "methods-not-a-list",
             "tiny-population",
         ],
     )

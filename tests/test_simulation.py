@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from pseudoweight import (
+    CellInfeasibleError,
     DesignError,
     DomainError,
     InfeasibleTargetError,
@@ -17,7 +18,7 @@ from pseudoweight import (
     poisson_sample,
     run_monte_carlo,
 )
-from pseudoweight import estimators
+from pseudoweight import estimators, simulation
 from pseudoweight.simulation import FinitePopulation
 
 ANALYTIC_MEAN = 3.978  # from the covariate recipe's moments
@@ -215,6 +216,8 @@ class TestMonteCarlo:
 
 
 def test_package_error_in_one_estimate_excludes_only_that_replicate(monkeypatch):
+    # counts calls in this process, so the replicates must run here too
+    monkeypatch.setattr(simulation, "_usable_cpus", lambda: 1)
     study = dict(
         population_config=PopulationConfig(N=4000, seed=17),
         scenarios=(Scenario.LOG_LINK,),
@@ -247,3 +250,90 @@ def test_package_error_in_one_estimate_excludes_only_that_replicate(monkeypatch)
         else:
             # alp shares fdw's fit and must not lose its replicate
             assert after == before
+
+
+def small_grid(**overrides):
+    study = dict(
+        population_config=PopulationConfig(N=4000, seed=17),
+        scenarios=(Scenario.LOG_LINK, Scenario.LOGIT_LINK),
+        f_c_grid=(0.05, 0.2),
+        replicates=3,
+        base_seed=5,
+    )
+    study.update(overrides)
+    return study
+
+
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """The worker count of every process pool the engine starts."""
+    import concurrent.futures
+
+    sizes = []
+    real = concurrent.futures.ProcessPoolExecutor
+
+    class Recording(real):
+        def __init__(self, max_workers=None, *args, **kwargs):
+            sizes.append(max_workers)
+            super().__init__(max_workers, *args, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recording)
+    return sizes
+
+
+def run_on_cpus(monkeypatch, cpus, study):
+    monkeypatch.setattr(simulation, "_usable_cpus", lambda: cpus)
+    return run_monte_carlo(**study)
+
+
+class TestReplicateEngine:
+    @pytest.mark.parametrize(
+        "cpus, overrides, pool",
+        [
+            (2, {}, 2),
+            (3, {}, 3),
+            (8, {}, 8),
+            # a one-cell grid of 2 replicates has fewer units than CPUs
+            (8, dict(scenarios=(Scenario.LOG_LINK,), f_c_grid=(0.05,), replicates=2), 2),
+        ],
+        ids=["2-workers", "3-workers", "8-workers", "more-cpus-than-units"],
+    )
+    def test_report_is_identical_for_any_worker_count(
+        self, monkeypatch, pool_sizes, cpus, overrides, pool
+    ):
+        study = small_grid(**overrides)
+        serial = run_on_cpus(monkeypatch, 1, study)
+        assert pool_sizes == []
+        assert repr(run_on_cpus(monkeypatch, cpus, study)) == repr(serial)
+        assert pool_sizes == [pool]
+
+    def test_injected_failure_excludes_the_same_replicates(self, monkeypatch, pool_sizes):
+        # keyed on the replicate's content, which a forked worker sees too
+        real = estimators.estimate_from_fit
+
+        def failing_on_cohort_size(spec, fit, cohort, *args, **kwargs):
+            if spec.method is Method.FDW and cohort.n_c % 5 == 0:
+                raise DesignError("injected design failure")
+            return real(spec, fit, cohort, *args, **kwargs)
+
+        monkeypatch.setattr(estimators, "estimate_from_fit", failing_on_cohort_size)
+        study = small_grid(replicates=4)
+        serial = run_on_cpus(monkeypatch, 1, study)
+        parallel = run_on_cpus(monkeypatch, 2, study)
+
+        assert pool_sizes == [2]
+        assert repr(parallel) == repr(serial)
+        excluded = {c.method: 0 for c in serial.cells}
+        for cell in serial.cells:
+            excluded[cell.method] += cell.n_excluded
+        assert excluded.pop("fdw") > 0
+        assert set(excluded.values()) == {0}
+
+    def test_uncalibratable_cell_raises_before_any_replicate(self, monkeypatch):
+        def no_replicate(*args):
+            raise AssertionError("a replicate ran before every cell was calibrated")
+
+        monkeypatch.setattr(simulation, "_replicate", no_replicate)
+        # no intercept keeps every log-link probability below one at 99.9%
+        with pytest.raises(CellInfeasibleError, match="f_c=0.999"):
+            run_monte_carlo(**small_grid(scenarios=(Scenario.LOG_LINK,), f_c_grid=(0.05, 0.999)))
