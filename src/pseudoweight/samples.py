@@ -43,6 +43,23 @@ def _readonly(a, dtype=float):
     return out
 
 
+def _sorted_codes(labels: np.ndarray):
+    """``np.unique(labels, return_inverse=True)``, sorting only the
+    distinct labels.
+
+    A dict numbers the labels in first-seen order in one pass, so the
+    Python-level comparisons of an object array's sort run over the
+    distinct labels instead of every unit.  The sort is ``np.unique``'s,
+    so the order, the grouping of NaNs and the ``TypeError`` on labels
+    that cannot be compared are those of ``np.unique`` on every unit.
+    """
+    first_seen = {}
+    codes = [first_seen.setdefault(label, len(first_seen)) for label in labels.tolist()]
+    distinct = np.array(list(first_seen), dtype=labels.dtype)
+    sorted_labels, rank = np.unique(distinct, return_inverse=True)
+    return sorted_labels, rank[np.array(codes, dtype=np.intp)]
+
+
 @dataclass(frozen=True)
 class PsuCodes:
     """Integer encoding of a survey's stratum and PSU labels.
@@ -95,8 +112,8 @@ class DesignInfo:
         if self.stratum is None or self.psu is None:
             return None
         try:
-            strata, stratum_index = np.unique(self.stratum, return_inverse=True)
-            psu_labels, psu_index = np.unique(self.psu, return_inverse=True)
+            strata, stratum_index = _sorted_codes(self.stratum)
+            psu_labels, psu_index = _sorted_codes(self.psu)
         except TypeError as exc:
             raise DesignError(
                 f"stratum and psu labels must be mutually sortable ({exc})"

@@ -15,6 +15,11 @@ every cell, forked worker processes draw and estimate blocks of replicates
 in whatever order they come free, and the calling process reduces their
 results in replicate order, so the report does not depend on the number of
 workers.
+
+Each cell's participation intercept is found by ``scipy.optimize.brentq``,
+which is imported when the first cell is calibrated: importing the package,
+or estimating without a study, loads nothing from scipy but
+``scipy.special``.
 """
 
 from __future__ import annotations
@@ -24,7 +29,6 @@ import os
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 from scipy.special import expit
 
 from .errors import (
@@ -155,6 +159,10 @@ def calibrate_participation_intercept(
     target above what that boundary allows raises
     :class:`InfeasibleTargetError`.
     """
+    # Imported here, its only use, so that `import pseudoweight` and the
+    # `estimate` path do not pay for loading scipy.optimize.
+    from scipy.optimize import brentq
+
     if not 0.0 < f_c_target < 1.0:
         raise InfeasibleTargetError("participation-rate target must lie in (0, 1)")
     eta = population.X[:, 1:] @ np.asarray(slopes, dtype=float)

@@ -103,9 +103,14 @@ def _psu_design_matrix(
 ) -> np.ndarray:
     """With-replacement PSU variance of the weighted total of ``w p x``,
     for PSUs numbered as in :class:`~pseudoweight.samples.PsuCodes`."""
-    p_cols = X.shape[1]
-    z_psu = np.zeros((len(stratum_of_psu), p_cols))
-    np.add.at(z_psu, psu_of_unit, (w * p_hat)[:, None] * X)
+    p_cols, n_psu = X.shape[1], len(stratum_of_psu)
+    # np.bincount sums each PSU's units in unit order.
+    z_psu = np.column_stack(
+        [
+            np.bincount(psu_of_unit, weights=column, minlength=n_psu)
+            for column in ((w * p_hat)[:, None] * X).T
+        ]
+    )
     D = np.zeros((p_cols, p_cols))
     for z in np.split(z_psu, np.flatnonzero(np.diff(stratum_of_psu)) + 1):
         a_h = len(z)

@@ -1,10 +1,13 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import pseudoweight
 from pseudoweight import (
     CohortSample,
     DesignInfo,
@@ -177,6 +180,22 @@ def random_pair_files(tmp_path):
     return paths, (yc, xc, xs, d)
 
 
+def stratified_pair_files(tmp_path, n=48):
+    """A cohort file (y, x1) and a survey file (x1, w, stratum, psu) with 3
+    strata of 2 PSUs each, labelled by text."""
+    rng = np.random.default_rng(2)
+    xs = rng.normal(size=n).tolist()
+    ys = (1.0 + 0.4 * np.array(xs) + rng.normal(size=n)).tolist()
+    cohort_path = write(
+        tmp_path / "c.csv",
+        "y,x1\n" + "".join(f"{v!r},{u!r}\n" for v, u in zip(ys, xs)),
+    )
+    lines = ["x1,w,stratum,psu\n"]
+    for i, u in enumerate(rng.normal(size=n).tolist()):
+        lines.append(f"{u!r},12.0,s{i % 3},p{i % 6}\n")
+    return cohort_path, write(tmp_path / "s.csv", "".join(lines))
+
+
 class TestEstimationJob:
     def test_self_paired_recovers_sample_mean(self, tmp_path):
         cohort_path, survey_path, y = self_paired_files(tmp_path)
@@ -233,18 +252,7 @@ class TestEstimationJob:
         assert rows[0]["variance"] is not None
 
     def test_stratified_design_end_to_end(self, tmp_path):
-        rng = np.random.default_rng(2)
-        n = 48
-        xs = rng.normal(size=n).tolist()
-        ys = (1.0 + 0.4 * np.array(xs) + rng.normal(size=n)).tolist()
-        cohort_path = write(
-            tmp_path / "c.csv",
-            "y,x1\n" + "".join(f"{v!r},{u!r}\n" for v, u in zip(ys, xs)),
-        )
-        lines = ["x1,w,stratum,psu\n"]
-        for i, u in enumerate(rng.normal(size=n).tolist()):
-            lines.append(f"{u!r},12.0,s{i % 3},p{i % 6}\n")
-        survey_path = write(tmp_path / "s.csv", "".join(lines))
+        cohort_path, survey_path = stratified_pair_files(tmp_path)
         job = EstimationJob(
             cohort_path=cohort_path,
             survey_path=survey_path,
@@ -369,6 +377,34 @@ class TestEstimationJob:
         assert row["w_max"] == pytest.approx(1.0, abs=1e-6)
         assert row["w_cv"] == pytest.approx(0.0, abs=1e-6)
 
+
+# Run in a fresh interpreter by the cold-start test: whether the package
+# and a stratified estimate load scipy.optimize, then a one-cell study that
+# needs it, in the same process.
+COLD_START = """
+import sys
+
+import pseudoweight
+from pseudoweight import cli
+
+cohort, survey, out = sys.argv[1:]
+code = cli.main([
+    "estimate", "--cohort", cohort, "--survey", survey, "--outcome", "y",
+    "--covariates", "x1", "--weight", "w", "--design", "stratified",
+    "--strata", "stratum", "--psu", "psu", "--methods", "alp,clw", "--out", out,
+])
+assert code == 0
+print("estimate:", "scipy.optimize" in sys.modules)
+report = pseudoweight.run_monte_carlo(
+    pseudoweight.PopulationConfig(N=2000, seed=3),
+    scenarios=("logit",),
+    f_c_grid=(0.05,),
+    methods=("alp",),
+    replicates=2,
+)
+(cell,) = report.cells
+print("study:", cell.n_replicates + cell.n_excluded)
+"""
 
 ESTIMATE_ARGV = [
     "estimate",
@@ -578,6 +614,19 @@ class TestCli:
         assert main(["simulate", "--config", cfg_path]) == 1
         err = json.loads(capsys.readouterr().err.strip())
         assert "not_a_key" in err["message"]
+
+    def test_estimate_leaves_scipy_optimize_unloaded(self, tmp_path):
+        # A fresh interpreter, since this one has long loaded everything.
+        cohort_path, survey_path = stratified_pair_files(tmp_path)
+        proc = subprocess.run(
+            [sys.executable, "-c", COLD_START, cohort_path, survey_path, str(tmp_path / "r.csv")],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": str(Path(pseudoweight.__file__).parents[1])},
+            timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["estimate:", "False", "study:", "2"]
 
     def test_console_script_installed(self):
         proc = subprocess.run(

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pseudoweight import (
     CohortSample,
+    DesignError,
     DesignInfo,
     DesignKind,
     RescaleError,
@@ -158,3 +161,66 @@ class TestPooledMatrix:
         cohort = CohortSample(y=np.zeros(50), X=np.ones((50, 1)))
         pooled = build_pooled_matrix(cohort, survey, lam)
         np.testing.assert_allclose(pooled.w[50:], 12.5)
+
+
+# Label coding: psu_codes must number strata and PSUs exactly as np.unique
+# over every unit's labels would.  Examples are derandomized so the suite
+# reads the same cases on every run.
+def unique_codes(stratum, psu):
+    """Strata, PSU of each unit and stratum of each PSU, from np.unique
+    over the full label columns: the reference for psu_codes."""
+    strata, stratum_index = np.unique(stratum, return_inverse=True)
+    psu_labels, psu_index = np.unique(psu, return_inverse=True)
+    pairs, psu_of_unit = np.unique(
+        stratum_index * len(psu_labels) + psu_index, return_inverse=True
+    )
+    return strata, psu_of_unit, pairs // len(psu_labels)
+
+
+LABEL_VALUES = {
+    "str": st.sampled_from(["a", "b", "S01", "S10", "S9", "10", "9", ""]) | st.text(max_size=3),
+    "int": st.integers(-3, 3) | st.integers(),
+    "float": st.sampled_from([-1.5, -0.0, 0.0, 0.25, 2.0, np.inf, np.nan]) | st.floats(),
+}
+
+
+@st.composite
+def label_column(draw, n):
+    kind = draw(st.sampled_from(["str", "object-str", "int", "float"]))
+    values = draw(st.lists(LABEL_VALUES[kind.split("-")[-1]], min_size=n, max_size=n))
+    return np.array(values, dtype=object if kind == "object-str" else None)
+
+
+@st.composite
+def label_pairs(draw):
+    n = draw(st.integers(1, 40))
+    return draw(label_column(n)), draw(label_column(n))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(labels=label_pairs())
+def test_psu_codes_match_unique_over_every_unit(labels):
+    stratum, psu = labels
+    codes = DesignInfo(DesignKind.STRATIFIED_WR, stratum, psu).psu_codes
+    strata, psu_of_unit, stratum_of_psu = unique_codes(stratum, psu)
+    assert codes.strata.dtype == strata.dtype
+    np.testing.assert_array_equal(codes.strata, strata)
+    np.testing.assert_array_equal(codes.psu_of_unit, psu_of_unit)
+    np.testing.assert_array_equal(codes.stratum_of_psu, stratum_of_psu)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(
+    labels=st.lists(
+        st.text(max_size=2) | st.integers() | st.floats(), min_size=2, max_size=30
+    ).filter(lambda v: {type(x) is str for x in v} == {True, False}),
+    mixed_column=st.sampled_from(["stratum", "psu"]),
+)
+def test_mixed_text_and_number_labels_raise_design_error(labels, mixed_column):
+    columns = {
+        "stratum": np.array(["s"] * len(labels)),
+        "psu": np.array(["p"] * len(labels)),
+        mixed_column: np.array(labels, dtype=object),
+    }
+    with pytest.raises(DesignError, match="mutually sortable"):
+        DesignInfo(DesignKind.STRATIFIED_WR, **columns).psu_codes

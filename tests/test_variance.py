@@ -481,3 +481,30 @@ def test_iid_matches_closed_form(layout, multiplier):
     expected = (n / (n - 1)) * dev.T @ dev / w.sum() ** 2
     D = design_variance_iid(SurveySample(X=X, d=d), p_hat, multiplier)
     assert_close_to_scale(D, expected, 1e-12)
+
+
+def add_at_psu_matrix(X, w, p_hat, psu_of_unit, stratum_of_psu):
+    """The with-replacement PSU matrix with its PSU totals summed by
+    np.add.at: the reference the package's PSU totals must match bit for
+    bit."""
+    z_psu = np.zeros((len(stratum_of_psu), X.shape[1]))
+    np.add.at(z_psu, psu_of_unit, (w * p_hat)[:, None] * X)
+    D = np.zeros((X.shape[1], X.shape[1]))
+    for z in np.split(z_psu, np.flatnonzero(np.diff(stratum_of_psu)) + 1):
+        a_h = len(z)
+        dev = z - z.mean(axis=0)
+        D += (a_h / (a_h - 1.0)) * dev.T @ dev
+    return D / float(np.sum(w)) ** 2
+
+
+@PROPERTY_SETTINGS
+@given(layout=stratified_layouts(), multiplier=st.floats(0.1, 3.0))
+def test_psu_matrices_match_add_at_reference_bit_for_bit(layout, multiplier):
+    stratum, psu, X, d, p_hat = layout
+    survey = layout_survey(stratum, psu, X, d)
+    codes = survey.design.psu_codes
+    n, w = len(d), multiplier * d
+    stratified = add_at_psu_matrix(X, w, p_hat, codes.psu_of_unit, codes.stratum_of_psu)
+    iid = add_at_psu_matrix(X, w, p_hat, np.arange(n), np.zeros(n, dtype=int))
+    assert design_variance_stratified(survey, p_hat, multiplier).tobytes() == stratified.tobytes()
+    assert design_variance_iid(survey, p_hat, multiplier).tobytes() == iid.tobytes()
