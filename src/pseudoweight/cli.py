@@ -14,7 +14,13 @@ import sys
 
 from .errors import PseudoweightError
 from .estimators import Method
-from .io import EstimationJob, emit_report, emit_simulation_report, run_estimation_job
+from .io import (
+    EstimationJob,
+    _open,
+    emit_report,
+    emit_simulation_report,
+    run_estimation_job,
+)
 from .samples import DesignKind
 from .simulation import (
     DEFAULT_F_C_GRID,
@@ -142,7 +148,7 @@ _SIM_DEFAULTS = {
 
 def _load_config(path):
     """The user's configuration document: a JSON object with known keys."""
-    with open(path, encoding="utf-8") as fh:
+    with _open(path) as fh:
         try:
             user = json.load(fh)
         except ValueError as exc:
@@ -219,6 +225,8 @@ def main(argv=None) -> int:
         )
         return 1
     except OSError as exc:
+        # a read that fails after its file opened, or a failed fork of the
+        # study's worker pool
         print(json.dumps({"error": "OSError", "message": str(exc)}), file=sys.stderr)
         return 1
 

@@ -379,8 +379,8 @@ class TestEstimationJob:
 
 
 # Run in a fresh interpreter by the cold-start test: whether the package
-# and a stratified estimate load scipy.optimize, then a one-cell study that
-# needs it, in the same process.
+# and a stratified estimate load scipy.optimize, then whether a one-cell
+# study, in the same process, loads it.
 COLD_START = """
 import sys
 
@@ -404,6 +404,7 @@ report = pseudoweight.run_monte_carlo(
 )
 (cell,) = report.cells
 print("study:", cell.n_replicates + cell.n_excluded)
+print("study:", "scipy.optimize" in sys.modules)
 """
 
 ESTIMATE_ARGV = [
@@ -615,6 +616,16 @@ class TestCli:
         err = json.loads(capsys.readouterr().err.strip())
         assert "not_a_key" in err["message"]
 
+    @pytest.mark.parametrize("missing", [True, False], ids=["missing-file", "directory"])
+    def test_unopenable_config_is_io_error(self, tmp_path, capsys, missing):
+        path = tmp_path / "absent.json" if missing else tmp_path
+        assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "r.csv")]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        err = json.loads(err)
+        assert err["error"] == "IoError"
+        assert err["message"].startswith(f"cannot open {path}")
+
     def test_estimate_leaves_scipy_optimize_unloaded(self, tmp_path):
         # A fresh interpreter, since this one has long loaded everything.
         cohort_path, survey_path = stratified_pair_files(tmp_path)
@@ -626,7 +637,7 @@ class TestCli:
             timeout=300,
         )
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.split() == ["estimate:", "False", "study:", "2"]
+        assert proc.stdout.split() == ["estimate:", "False", "study:", "2", "study:", "False"]
 
     def test_console_script_installed(self):
         proc = subprocess.run(

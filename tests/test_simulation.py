@@ -1,5 +1,12 @@
+import functools
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.optimize import brentq
+from scipy.special import expit
 
 from pseudoweight import (
     CellInfeasibleError,
@@ -8,6 +15,7 @@ from pseudoweight import (
     InfeasibleTargetError,
     InsufficientReplicatesError,
     Method,
+    NonConvergenceError,
     PopulationConfig,
     Scenario,
     calibrate_participation_intercept,
@@ -87,6 +95,145 @@ class TestParticipationCalibration:
         # strictly below one under the log link
         with pytest.raises(InfeasibleTargetError):
             calibrate_participation_intercept(pop, Scenario.LOG_LINK, 0.999)
+
+
+# The in-package root finder is checked against scipy's brentq, the
+# function it ports, as an oracle.  Examples are derandomized so the suite
+# reads the same cases on every run.
+PROPERTY_SETTINGS = settings(max_examples=150, deadline=None, derandomize=True)
+
+#: Test functions and their roots.
+SHAPES = {
+    "affine": (lambda x: x, 0.0),
+    "cubic": (lambda x: x**3 - 2.0 * x - 5.0, 2.0945514815423265),
+    "tanh": (math.tanh, 0.0),
+    "exp": (lambda x: math.exp(x) - 3.0, math.log(3.0)),
+    # flat near the root, then steep: interpolation often fails here
+    "ninth-power": (lambda x: x**9, 0.0),
+    "tenth-root": (lambda x: math.copysign(abs(x) ** 0.1, x), 0.0),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def calibration_population():
+    return generate_population(PopulationConfig(N=2000, seed=11))
+
+
+def calibration_eta():
+    return calibration_population().X[:, 1:] @ np.asarray(simulation.PARTICIPATION_SLOPES)
+
+
+def calibration_function(scenario, f_c):
+    """The mean-rate residual ``calibrate_participation_intercept`` solves."""
+    eta = calibration_eta()
+    link = np.exp if scenario is Scenario.LOG_LINK else expit
+    return lambda c: link(c + eta).sum() / eta.size - f_c
+
+
+def outcome(solve):
+    """The root as its exact bits, or the kind of failure."""
+    try:
+        return float(solve()).hex()
+    except (ValueError, RuntimeError, NonConvergenceError) as exc:
+        message = str(exc)
+        if "NaN" in message:
+            return "nan"
+        if "different signs" in message:
+            return "same-sign"
+        return "no-convergence"
+
+
+class TestBrentRootFinder:
+    @PROPERTY_SETTINGS
+    @given(
+        shape=st.sampled_from(sorted(SHAPES) + ["log-calibration", "logit-calibration"]),
+        shift=st.floats(-10.0, 10.0),
+        scale=st.floats(0.1, 10.0),
+        below=st.floats(-2.0, 30.0),
+        above=st.floats(-2.0, 30.0),
+        swap=st.booleans(),
+        xtol_exponent=st.floats(-15.0, -1.0),
+    )
+    def test_matches_scipy_brentq_bit_for_bit(
+        self, shape, shift, scale, below, above, swap, xtol_exponent
+    ):
+        # the bracket reaches `below` under the root and `above` over it;
+        # a negative reach leaves both ends on one side
+        if shape.endswith("-calibration"):
+            scenario = Scenario.LOG_LINK if shape.startswith("log-") else Scenario.LOGIT_LINK
+            f_c = scale / 20.0
+            f = calibration_function(scenario, f_c)
+            # the log link's root, near the logit link's for small rates
+            root = math.log(f_c) - math.log(np.exp(calibration_eta()).mean())
+        else:
+            base, base_root = SHAPES[shape]
+            f = lambda x: scale * base(x - shift)  # noqa: E731
+            root = shift + base_root
+        a, b = root - below, root + above
+        if swap:
+            a, b = b, a
+        xtol = 10.0**xtol_exponent
+        expected = outcome(lambda: brentq(f, a, b, xtol=xtol))
+        assert outcome(lambda: simulation._brentq(f, a, b, xtol)) == expected
+
+    @pytest.mark.parametrize(
+        "shift, a, b, xtol",
+        [(0.0, -20.0, 16.0, 1e-4), (0.0, -12.0, 5.0, 1e-10), (1.5, -9.0, 20.0, 0.1)],
+        ids=["tiny-previous-step", "converges-on-the-last-iteration", "interpolation-step-bound"],
+    )
+    def test_matches_scipy_brentq_on_a_ninth_power(self, shift, a, b, xtol):
+        # cases in which the property's draws rarely land: each takes a
+        # branch of the step choice, or the iteration cap, at its edge
+        def f(x):
+            return x**9 - shift
+
+        assert outcome(lambda: simulation._brentq(f, a, b, xtol)) == outcome(
+            lambda: brentq(f, a, b, xtol=xtol)
+        )
+
+    @pytest.mark.parametrize("scenario", [Scenario.LOG_LINK, Scenario.LOGIT_LINK])
+    @pytest.mark.parametrize("f_c", [0.001, 0.005, 0.05, 0.2, 0.5])
+    def test_calibrated_intercept_is_brentqs(self, scenario, f_c):
+        pop = calibration_population()
+        f = calibration_function(scenario, f_c)
+        eta = calibration_eta()
+        if scenario is Scenario.LOG_LINK:
+            hi = -eta.max() - 1e-9
+            lo = hi - 40.0
+        else:
+            lo, hi = -40.0, 40.0
+        try:
+            expected = brentq(f, lo, hi, xtol=1e-13)
+        except ValueError:
+            # the log link cannot reach a mean of one half below one
+            with pytest.raises(InfeasibleTargetError):
+                calibrate_participation_intercept(pop, scenario, f_c)
+            return
+        got = calibrate_participation_intercept(pop, scenario, f_c)
+        assert float(got).hex() == float(expected).hex()
+
+    def test_nan_value_raises(self):
+        with pytest.raises(NonConvergenceError, match="intercept calibration failed: .*NaN"):
+            simulation._brentq(lambda x: math.nan if x > 0.5 else x - 0.7, 0.0, 1.0, 1e-13)
+
+    def test_same_sign_bracket_raises(self):
+        with pytest.raises(NonConvergenceError, match="intercept calibration failed: .*signs"):
+            simulation._brentq(lambda x: x * x + 1.0, -1.0, 1.0, 1e-13)
+
+    def test_iteration_cap_raises(self):
+        # a step at a tiny positive root: only bisection applies, and a
+        # tolerance of 1e-300 needs far more than the cap's 100 halvings
+        def step(x):
+            return -1.0 if x < 1e-200 else 1.0
+
+        with pytest.raises(RuntimeError):
+            brentq(step, -1.0, 1.0, xtol=1e-300)
+        with pytest.raises(NonConvergenceError, match="intercept calibration failed: .*100"):
+            simulation._brentq(step, -1.0, 1.0, 1e-300)
+
+    def test_root_at_a_bracket_end_is_returned(self):
+        assert simulation._brentq(lambda x: x - 2.0, 2.0, 5.0, 1e-13) == 2.0
+        assert simulation._brentq(lambda x: x - 5.0, 2.0, 5.0, 1e-13) == 5.0
 
 
 class TestSurveyCalibration:
@@ -250,6 +397,51 @@ def test_package_error_in_one_estimate_excludes_only_that_replicate(monkeypatch)
         else:
             # alp shares fdw's fit and must not lose its replicate
             assert after == before
+
+
+@pytest.mark.parametrize("replicates", [1, 0, -3])
+def test_too_few_replicates_raise_before_the_population(monkeypatch, replicates):
+    def no_population(config):
+        raise AssertionError("the population was generated")
+
+    monkeypatch.setattr(simulation, "generate_population", no_population)
+    with pytest.raises(InsufficientReplicatesError, match="at least two replicates"):
+        run_monte_carlo(PopulationConfig(N=4000, seed=17), replicates=replicates)
+
+
+def test_method_left_with_one_replicate_reports_nan_metrics(monkeypatch):
+    monkeypatch.setattr(simulation, "_usable_cpus", lambda: 1)
+    study = dict(
+        population_config=PopulationConfig(N=4000, seed=17),
+        scenarios=(Scenario.LOG_LINK,),
+        f_c_grid=(0.05,),
+        methods=(Method.NAIVE, Method.ALP, Method.FDW),
+        replicates=4,
+        base_seed=5,
+    )
+    baseline = run_monte_carlo(**study)
+
+    real = estimators.estimate_from_fit
+    calls = {Method.NAIVE: 0, Method.FDW: 0}
+
+    def all_but_the_first_fail(spec, *args, **kwargs):
+        if spec.method in calls:
+            calls[spec.method] += 1
+            if calls[spec.method] > 1:
+                raise DesignError("injected design failure")
+        return real(spec, *args, **kwargs)
+
+    monkeypatch.setattr(estimators, "estimate_from_fit", all_but_the_first_fail)
+    naive, alp, fdw = run_monte_carlo(**study).cells
+
+    assert alp == baseline.cells[1]
+    for cell in (naive, fdw):
+        assert (cell.n_replicates, cell.n_excluded) == (1, 3)
+        assert cell.mean_cohort_size == baseline.cells[0].mean_cohort_size
+        assert all(math.isnan(v) for v in (cell.pct_rb, cell.v_emp, cell.mse))
+    # naive reports no variance, so its vr and cp stay empty
+    assert naive.vr is None and naive.cp is None
+    assert math.isnan(fdw.vr) and math.isnan(fdw.cp)
 
 
 def small_grid(**overrides):
