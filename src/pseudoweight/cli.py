@@ -225,8 +225,7 @@ def main(argv=None) -> int:
         )
         return 1
     except OSError as exc:
-        # a read that fails after its file opened, or a failed fork of the
-        # study's worker pool
+        # a failed fork of the study's worker pool
         print(json.dumps({"error": "OSError", "message": str(exc)}), file=sys.stderr)
         return 1
 

@@ -72,7 +72,9 @@ class InsufficientReplicatesError(PseudoweightError):
 
 
 class ParseError(PseudoweightError):
-    """A delimited file contains a non-numeric value in a declared column."""
+    """A delimited file cannot be parsed: a non-numeric value in a declared
+    column, a byte that is not UTF-8, or a record the ``csv`` reader
+    rejects."""
 
 
 class MissingColumnError(PseudoweightError):
@@ -84,4 +86,5 @@ class EmptyFileError(PseudoweightError):
 
 
 class IoError(PseudoweightError):
-    """Report emission failed or was asked to write an empty report."""
+    """An input file could not be opened or read, report emission failed,
+    or an empty report was to be written."""

@@ -5,7 +5,16 @@ separator, no thousands separators.  Header names are matched after
 trimming surrounding spaces.  Blank lines are ignored.  Rows with an empty
 value in a declared column are skipped (their file line numbers are
 reported through a warning); non-numeric content in a declared column is a
-hard :class:`ParseError` naming the file line.
+hard :class:`ParseError` naming the file line, and so are a byte that is
+not UTF-8 and a cell over the ``csv`` module's field limit.  A read that
+fails after the file opened is an :class:`IoError`.
+
+A file is read in one ``csv.reader`` pass that keeps only each record's
+declared cells, in one flat list, and its file line.  Every ``_BLOCK``
+records the cells are split into columns, trimmed, rid of rows with a
+blank cell, and each numeric column parsed by ``float`` in one call.
+Parsing block by block, rather than once at the end, keeps the peak
+memory near that of the finished arrays.
 
 Reports are emitted deterministically: same results, byte-identical file.
 """
@@ -15,7 +24,10 @@ from __future__ import annotations
 import csv
 import json
 import warnings as _warnings
+from contextlib import contextmanager
 from dataclasses import dataclass
+from itertools import chain, compress
+from operator import itemgetter, not_
 
 import numpy as np
 
@@ -49,12 +61,72 @@ def _fmt(value) -> str:
     return str(value)
 
 
+@contextmanager
 def _open(path):
-    """Open a delimited file for reading; a failure becomes an :class:`IoError`."""
+    """Open a delimited file for reading; a failure to open or read it
+    becomes an :class:`IoError`."""
     try:
-        return open(path, newline="", encoding="utf-8")
+        fh = open(path, newline="", encoding="utf-8")
     except OSError as exc:
         raise IoError(f"cannot open {path}: {exc}") from exc
+    with fh:
+        try:
+            yield fh
+        except OSError as exc:
+            raise IoError(f"cannot read {path}: {exc}") from exc
+
+
+def _unreadable(path, reader, exc):
+    """The :class:`ParseError` for a record ``reader`` could not produce:
+    a byte that is not UTF-8 (``UnicodeDecodeError``) or a tokenizer
+    ``csv.Error``, named by its file line."""
+    if not isinstance(exc, UnicodeDecodeError):
+        return ParseError(f"{path}: row {reader.line_num}: {exc}")
+    # The file decodes a chunk at a time, and the reader has taken none of
+    # the lines of the failing chunk; count those before the bad byte.
+    head = exc.object[: exc.start]
+    line = reader.line_num + 1 + head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n")
+    return ParseError(
+        f"{path}: row {line}: byte {exc.object[exc.start]:#04x} is not UTF-8 ({exc.reason})"
+    )
+
+
+#: Records read between two parses of their cells (see the module docstring).
+_BLOCK = 4096
+
+
+def _parse_block(path, numeric, labels, cells, lines, skipped):
+    """Columns of one block of records: ``cells`` holds each record's
+    declared cells in a row, ``lines`` each record's file line.
+
+    Cells are trimmed; a record with an empty declared cell is dropped and
+    its line appended to ``skipped``.  Returns the number of records kept,
+    the numeric columns as float arrays and the label columns as lists of
+    strings.
+    """
+    m = len(numeric) + len(labels)
+    columns = [list(map(str.strip, cells[j::m])) for j in range(m)]
+    blanks = [col for col in columns if "" in col]
+    if blanks:
+        keep = list(map(all, zip(*blanks)))
+        skipped.extend(compress(lines, map(not_, keep)))
+        columns = [list(compress(col, keep)) for col in columns]
+        lines = list(compress(lines, keep))
+    n = len(lines)
+    try:
+        numbers = [np.fromiter(map(float, col), float, n) for col in columns[: len(numeric)]]
+    except ValueError:
+        for line, row in zip(lines, zip(*columns)):
+            for c, raw in zip(numeric, row):
+                try:
+                    float(raw)
+                except ValueError:
+                    raise ParseError(
+                        f"{path}: row {line}, column {c!r}: "
+                        f"cannot parse {raw!r} as a number"
+                    ) from None
+        raise
+    return n, numbers, columns[len(numeric) :]
 
 
 def _read_columns(path, numeric, labels=()):
@@ -65,43 +137,47 @@ def _read_columns(path, numeric, labels=()):
     ``labels`` columns kept as trimmed strings, each returned as a dict of
     arrays.  Blank lines are ignored; a row with an empty (or absent) cell
     in any declared column is skipped and reported by its file line.
+
+    Records are checked in file order, so the first bad one is the
+    :class:`ParseError` raised even if the file turns unreadable after it:
+    a cell over the ``csv`` field limit is reported once every record
+    before it is checked, a byte that is not UTF-8 once the records before
+    the chunk of the file holding it are (the file decodes a chunk at a
+    time).
     """
     names = list(numeric) + list(labels)
+    blocks, skipped, cells, lines = [], [], [], []
     with _open(path) as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise EmptyFileError(f"{path} has no header row")
-        position = {h.strip(): i for i, h in enumerate(header)}
-        missing = [c for c in names if c not in position]
-        if missing:
-            raise MissingColumnError(
-                f"{path} lacks declared column(s): {', '.join(missing)}"
-            )
-        index = [position[c] for c in names]
-        width, k = max(index) + 1, len(numeric)
-        numbers, strings, skipped = [], [], []
-        for row in reader:
-            if not row:
-                continue
-            row += [""] * (width - len(row))  # a short row's missing cells
-            cells = [row[i].strip() for i in index]
-            if "" in cells:
-                skipped.append(reader.line_num)
-                continue
-            try:
-                numbers.extend(map(float, cells[:k]))
-            except ValueError:
-                for c, raw in zip(numeric, cells):
-                    try:
-                        float(raw)
-                    except ValueError:
-                        raise ParseError(
-                            f"{path}: row {reader.line_num}, column {c!r}: "
-                            f"cannot parse {raw!r} as a number"
-                        ) from None
-            strings.extend(cells[k:])
-    if not numbers and not skipped:
+        try:
+            header = next(reader, None)
+            if header is None:
+                raise EmptyFileError(f"{path} has no header row")
+            position = {h.strip(): i for i, h in enumerate(header)}
+            missing = [c for c in names if c not in position]
+            if missing:
+                raise MissingColumnError(
+                    f"{path} lacks declared column(s): {', '.join(missing)}"
+                )
+            index = [position[c] for c in names]
+            width = max(index) + 1
+            pick = itemgetter(*index) if len(index) > 1 else lambda row: (row[index[0]],)
+            for row in reader:
+                if not row:
+                    continue
+                if len(row) < width:
+                    row += [""] * (width - len(row))  # a short row's missing cells
+                cells.extend(pick(row))
+                lines.append(reader.line_num)
+                if len(lines) == _BLOCK:
+                    blocks.append(_parse_block(path, numeric, labels, cells, lines, skipped))
+                    cells, lines = [], []
+        except (csv.Error, UnicodeDecodeError) as exc:
+            _parse_block(path, numeric, labels, cells, lines, skipped)  # may raise first
+            raise _unreadable(path, reader, exc) from exc
+    blocks.append(_parse_block(path, numeric, labels, cells, lines, skipped))
+    n = sum(b[0] for b in blocks)
+    if not n and not skipped:
         raise EmptyFileError(f"{path} has a header but no data rows")
     if skipped:
         _warnings.warn(
@@ -111,11 +187,13 @@ def _read_columns(path, numeric, labels=()):
             + ")",
             stacklevel=3,
         )
-    if not numbers:
+    if not n:
         raise EmptyFileError(f"{path}: every data row was missing a declared field")
-    n = len(numbers) // k
-    columns = np.array(numbers).reshape(n, k).T
-    label_columns = np.array(strings, dtype=object).reshape(n, len(labels)).T
+    columns = [np.concatenate(parts) for parts in zip(*(b[1] for b in blocks))]
+    label_columns = [
+        np.array(list(chain.from_iterable(parts)), dtype=object)
+        for parts in zip(*(b[2] for b in blocks))
+    ]
     return dict(zip(numeric, columns)), dict(zip(labels, label_columns))
 
 
@@ -161,7 +239,10 @@ def ingest_delimited(
 
 def _header(path):
     with _open(path) as fh:
-        first = next(csv.reader(fh), None)
+        try:
+            first = next(csv.reader(fh), None)
+        except (csv.Error, UnicodeDecodeError):
+            return []  # reading the file's columns reports it, in file order
     if first is None:
         raise EmptyFileError(f"{path} has no header row")
     return [h.strip() for h in first]

@@ -529,6 +529,71 @@ class TestCli:
         assert err["error"] == "IoError"
         assert err["message"].startswith(f"cannot open {tmp_path / 'missing.csv'}")
 
+    @pytest.mark.skipif(not os.path.exists("/proc/self/mem"), reason="needs /proc/self/mem")
+    @pytest.mark.parametrize("flag", ["--cohort", "--config"])
+    def test_read_failing_after_the_open_is_io_error(self, tmp_path, capsys, flag):
+        # /proc/self/mem opens, but reading it from offset 0 fails with EIO
+        (cohort_path, survey_path), _ = random_pair_files(tmp_path)
+        if flag == "--cohort":
+            argv = ESTIMATE_ARGV[:2] + ["/proc/self/mem", "--survey", survey_path] + ESTIMATE_ARGV[5:]
+        else:
+            argv = ["simulate", "--config", "/proc/self/mem"]
+        assert main(argv + ["--out", str(tmp_path / "r.csv")]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        err = json.loads(err)
+        assert err["error"] == "IoError"
+        assert err["message"].startswith("cannot read /proc/self/mem: ")
+
+    @pytest.mark.parametrize(
+        "which, body, line, fragment",
+        [
+            ("cohort", b"y,x1\n1.0,0.5\n2.0,caf\xe9\n", 3, "byte 0xe9 is not UTF-8"),
+            ("cohort", b'y,x1\n1.0,0.5\n2.0,"' + b"1" * 131_073 + b'"\n', 3, "field larger than field limit"),
+            ("cohort", b'y,x1\n1.0,abc\n2.0,"' + b"1" * 131_073 + b'"\n', 2, "column 'x1': cannot parse 'abc'"),
+            # the bad byte lies past the chunks the decoder had read at line 2
+            (
+                "survey",
+                b"x1,w\n0.1,abc\n" + b"0.2,2\n" * 20_000 + b"0.3,2\xe9\n",
+                2,
+                "column 'w': cannot parse 'abc'",
+            ),
+            ("survey", b"x1,w\n0.1,2\n0.2,2\xe9\n", 3, "byte 0xe9 is not UTF-8"),
+        ],
+        ids=[
+            "not-utf8",
+            "oversized-cell",
+            "bad-number-before-oversized-cell",
+            "survey-bad-number-before-bad-byte",
+            "survey-not-utf8",
+        ],
+    )
+    def test_unparsable_file_is_parse_error(self, tmp_path, capsys, which, body, line, fragment):
+        (cohort_path, survey_path), _ = random_pair_files(tmp_path)
+        paths = {"cohort": cohort_path, "survey": survey_path}
+        bad = tmp_path / f"bad_{which}.csv"
+        bad.write_bytes(body)
+        paths[which] = str(bad)
+        code = main(
+            [
+                "estimate",
+                "--cohort", paths["cohort"],
+                "--survey", paths["survey"],
+                "--outcome", "y",
+                "--covariates", "x1",
+                "--weight", "w",
+                "--out", str(tmp_path / "r.csv"),
+            ]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        err = json.loads(err)
+        assert err["error"] == "ParseError"
+        assert err["message"].startswith(f"{bad}: row {line}")
+        assert fragment in err["message"]
+        assert not (tmp_path / "r.csv").exists()
+
     def test_empty_covariate_list_is_machine_readable(self, tmp_path, capsys):
         (cohort_path, survey_path), _ = random_pair_files(tmp_path)
         code = main(
