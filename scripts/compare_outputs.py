@@ -1,0 +1,141 @@
+"""Byte-identity sweep: run the same commands on two source trees of the
+package and compare every output byte for byte.
+
+Run from the root of a checkout, with the ``src`` directories of the two
+trees to compare:
+
+    OPENBLAS_NUM_THREADS=1 python3 scripts/compare_outputs.py PARENT_SRC CHANGE_SRC
+
+The inputs are the ``estimate-clustered`` benchmark files of seeds 1 and 7,
+made by this checkout's ``perfbench/workloads.py`` (imported, not changed),
+plus a copy of each survey without its outcome column.  On each tree the
+script runs, each in its own process:
+
+* ``pseudoweight estimate`` with six methods under the ``poisson``,
+  ``stratified`` and ``iid`` designs, on both surveys, writing a CSV and a
+  JSON report, each with ``--dump-weights``;
+* ``pseudoweight simulate --replicates 40 --seed 1``;
+* this checkout's three ``demos/`` scripts, keeping their standard output.
+
+Each command's exit code and standard error are kept as outputs too.  The
+script prints the number of identical outputs and exits 0, or lists the
+outputs that differ, keeps them for inspection and exits 1.
+"""
+
+import argparse
+import filecmp
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "perfbench"))
+
+import workloads  # noqa: E402
+
+SEEDS = (1, 7)
+DESIGNS = ("poisson", "stratified", "iid")
+
+
+def _drop_column(text, name):
+    rows = [line.split(",") for line in text.splitlines()]
+    j = rows[0].index(name)
+    return "".join(",".join(row[:j] + row[j + 1 :]) + "\n" for row in rows)
+
+
+def make_inputs(directory):
+    """Write the input files; returns ``(name, cohort, survey)`` triples."""
+    spec = workloads.ESTIMATE_SPECS["estimate-clustered"]
+    pairs = []
+    for seed in SEEDS:
+        inputs = workloads.make_estimate_inputs(spec, seed)
+        cohort = directory / f"cohort-s{seed}.csv"
+        cohort.write_text(workloads.cohort_csv(inputs), encoding="utf-8")
+        survey_text = workloads.survey_csv(inputs)
+        for variant, text in (("y", survey_text), ("noy", _drop_column(survey_text, "y"))):
+            survey = directory / f"survey-s{seed}-{variant}.csv"
+            survey.write_text(text, encoding="utf-8")
+            pairs.append((f"s{seed}-{variant}", str(cohort), str(survey)))
+    return pairs
+
+
+def commands(pairs):
+    """``(output name, argv)`` of every command run on each tree; output
+    paths are relative to the tree's output directory."""
+    cli = [sys.executable, "-m", "pseudoweight.cli"]
+    out = []
+    for name, cohort, survey in pairs:
+        for design in DESIGNS:
+            for fmt in ("csv", "json"):
+                run = f"{name}-{design}-{fmt}"
+                out.append((run, cli + [
+                    "estimate",
+                    "--cohort", cohort,
+                    "--survey", survey,
+                    "--outcome", workloads.OUTCOME,
+                    "--covariates", ",".join(workloads.COVARIATES),
+                    "--weight", workloads.WEIGHT,
+                    "--strata", workloads.STRATUM,
+                    "--psu", workloads.PSU,
+                    "--design", design,
+                    "--methods", ",".join(workloads.ESTIMATE_METHODS),
+                    "--out", f"{run}.{fmt}",
+                    "--dump-weights", f"{run}-weights.csv",
+                ]))
+    out.append(("simulate", cli + [
+        "simulate", "--replicates", "40", "--seed", "1", "--out", "simulate.csv",
+    ]))
+    for demo in sorted((ROOT / "demos").glob("*.py")):
+        out.append((demo.stem, [sys.executable, str(demo)]))
+    return out
+
+
+def run_tree(src, runs, directory):
+    """Run every command with ``src`` first on the import path, keeping
+    each one's standard output, standard error and exit code."""
+    directory.mkdir()
+    env = dict(os.environ, PYTHONPATH=str(Path(src).resolve()))
+    for name, argv in runs:
+        proc = subprocess.run(argv, cwd=directory, env=env, capture_output=True)
+        (directory / f"{name}.stdout").write_bytes(proc.stdout)
+        (directory / f"{name}.status").write_bytes(
+            f"exit {proc.returncode}\n".encode() + proc.stderr
+        )
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("parent_src", help="src directory of the parent tree")
+    parser.add_argument("change_src", help="src directory of the changed tree")
+    args = parser.parse_args(argv)
+
+    work = Path(tempfile.mkdtemp(prefix="compare-outputs-"))
+    inputs = work / "inputs"
+    inputs.mkdir()
+    runs = commands(make_inputs(inputs))
+    parent, change = work / "parent", work / "change"
+    run_tree(args.parent_src, runs, parent)
+    run_tree(args.change_src, runs, change)
+
+    names = sorted({p.name for p in parent.iterdir()} | {p.name for p in change.iterdir()})
+    differ = [
+        name
+        for name in names
+        if not ((parent / name).is_file() and (change / name).is_file()
+                and filecmp.cmp(parent / name, change / name, shallow=False))
+    ]
+    if differ:
+        print(f"{len(differ)} of {len(names)} outputs differ (kept in {work}):")
+        for name in differ:
+            print(f"  {name}")
+        return 1
+    print(f"all {len(names)} outputs identical")
+    shutil.rmtree(work)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -38,7 +38,6 @@ from .estimators import (
     fdw_weights,
     fit_for_method,
     hajek_mean,
-    rdw_weights,
 )
 from .io import (
     EstimationJob,
@@ -77,7 +76,7 @@ from .simulation import (
     poisson_sample,
     run_monte_carlo,
 )
-from .solvers import SolverConfig, fit_clw_score, fit_pooled_logistic, score_at
+from .solvers import fit_clw_score, fit_pooled_logistic
 from .variance import (
     VarianceBreakdown,
     compute_b_hat,

@@ -125,11 +125,10 @@ def _run_estimate(args) -> int:
         psu_column=args.psu,
         methods=args.methods,
         truncate_pi=args.truncate_pi,
-        output_path=args.out,
         dump_weights_path=args.dump_weights,
     )
     rows = run_estimation_job(job)
-    emit_report(rows, job.output_path)
+    emit_report(rows, args.out)
     return 0
 
 

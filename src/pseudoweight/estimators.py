@@ -105,12 +105,6 @@ def fdw_weights(p_hat_cohort: np.ndarray) -> np.ndarray:
     return 1.0 / p_hat_cohort
 
 
-# The rescaled-weight pooled fit makes the pooled set stand in for the whole
-# population, so its fitted membership probability estimates the
-# participation rate itself and the weight is again its reciprocal.
-rdw_weights = fdw_weights
-
-
 def clw_weights(gamma_hat: np.ndarray, cohort_X: np.ndarray) -> np.ndarray:
     """Inverse modelled participation rate ``1 + exp(-gamma . x)``."""
     eta = np.asarray(cohort_X) @ np.asarray(gamma_hat, dtype=float)
@@ -201,7 +195,7 @@ def estimate_from_fit(
         if true_participation is None:
             raise ValueError("the true-weight method needs the participation probabilities")
         pi = np.asarray(true_participation, dtype=float)
-        if np.any(pi <= 0) or np.any(pi > 1):
+        if not np.all((pi > 0) & (pi <= 1)):
             raise DomainError("true participation probabilities must lie in (0, 1]")
         w = 1.0 / pi
     elif method is Method.ALP:
@@ -226,7 +220,7 @@ def estimate_from_fit(
     mu = hajek_mean(cohort.y, w)
     var = None
     if method is Method.TW:
-        var = fixed_weight_variance(cohort, pi, mu).v_total
+        var = fixed_weight_variance(cohort, pi, mu)
     elif method is not Method.NAIVE:
         vb = tl_variance(
             cohort, survey, fit, w, mu, p_cohort=p_override_c, p_survey=p_override_s

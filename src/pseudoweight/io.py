@@ -129,14 +129,17 @@ def _parse_block(path, numeric, labels, cells, lines, skipped):
     return n, numbers, columns[len(numeric) :]
 
 
-def _read_columns(path, numeric, labels=()):
+def _read_columns(path, numeric, labels=(), optional=()):
     """Read the declared columns of a delimited file in one pass.
 
     Header names are matched after trimming; a name that appears twice is
     read from its last copy.  ``numeric`` columns are parsed as floats and
     ``labels`` columns kept as trimmed strings, each returned as a dict of
-    arrays.  Blank lines are ignored; a row with an empty (or absent) cell
-    in any declared column is skipped and reported by its file line.
+    arrays.  A ``numeric`` name listed in ``optional`` that the header
+    lacks is left out of the result; any other missing name is a
+    :class:`MissingColumnError`.  Blank lines are ignored; a row with an
+    empty (or absent) cell in any declared column is skipped and reported
+    by its file line.
 
     Records are checked in file order, so the first bad one is the
     :class:`ParseError` raised even if the file turns unreadable after it:
@@ -145,7 +148,6 @@ def _read_columns(path, numeric, labels=()):
     the chunk of the file holding it are (the file decodes a chunk at a
     time).
     """
-    names = list(numeric) + list(labels)
     blocks, skipped, cells, lines = [], [], [], []
     with _open(path) as fh:
         reader = csv.reader(fh)
@@ -154,6 +156,8 @@ def _read_columns(path, numeric, labels=()):
             if header is None:
                 raise EmptyFileError(f"{path} has no header row")
             position = {h.strip(): i for i, h in enumerate(header)}
+            numeric = [c for c in numeric if c in position or c not in optional]
+            names = numeric + list(labels)
             missing = [c for c in names if c not in position]
             if missing:
                 raise MissingColumnError(
@@ -208,15 +212,19 @@ def ingest_delimited(
 ):
     """Load a cohort or survey sample from a delimited file.
 
-    A ``weight`` column makes the result a :class:`SurveySample`; otherwise
-    a :class:`CohortSample` is built and ``outcome`` is required.  An
-    intercept column of ones is prepended to the declared covariates.
+    A ``weight`` column makes the result a :class:`SurveySample`, whose
+    ``outcome`` is optional: it is read when the header has it and is None
+    otherwise.  Without one a :class:`CohortSample` is built and
+    ``outcome`` is required.  An intercept column of ones is prepended to
+    the declared covariates.
     """
     covariates = list(covariates)
     if not covariates:
         raise MissingColumnError(f"{path}: no covariate columns declared")
     needed = covariates + [c for c in (outcome, weight) if c]
-    data, labels = _read_columns(path, needed, [c for c in (stratum, psu) if c])
+    data, labels = _read_columns(
+        path, needed, [c for c in (stratum, psu) if c], (outcome,) if weight else ()
+    )
     X = np.column_stack(
         [np.ones(len(data[covariates[0]]))] + [data[c] for c in covariates]
     )
@@ -225,7 +233,7 @@ def ingest_delimited(
         return SurveySample(
             X=X,
             d=data[weight],
-            y=data[outcome] if outcome else None,
+            y=data.get(outcome),
             design=DesignInfo(
                 kind=DesignKind(design),
                 stratum=labels.get(stratum),
@@ -235,17 +243,6 @@ def ingest_delimited(
     if not outcome:
         raise MissingColumnError("a cohort file needs an outcome column")
     return CohortSample(y=data[outcome], X=X)
-
-
-def _header(path):
-    with _open(path) as fh:
-        try:
-            first = next(csv.reader(fh), None)
-        except (csv.Error, UnicodeDecodeError):
-            return []  # reading the file's columns reports it, in file order
-    if first is None:
-        raise EmptyFileError(f"{path} has no header row")
-    return [h.strip() for h in first]
 
 
 @dataclass(frozen=True)
@@ -262,7 +259,6 @@ class EstimationJob:
     psu_column: str | None = None
     methods: tuple = (Method.ALP,)
     truncate_pi: bool = False
-    output_path: str | None = None
     dump_weights_path: str | None = None
 
 
@@ -295,11 +291,10 @@ def run_estimation_job(job: EstimationJob):
             covariates=job.covariate_columns,
             outcome=job.outcome_column,
         )
-        survey_has_outcome = job.outcome_column in _header(job.survey_path)
         survey = ingest_delimited(
             job.survey_path,
             covariates=job.covariate_columns,
-            outcome=job.outcome_column if survey_has_outcome else None,
+            outcome=job.outcome_column,
             weight=job.weight_column,
             stratum=job.stratum_column,
             psu=job.psu_column,
@@ -348,16 +343,23 @@ def run_estimation_job(job: EstimationJob):
     return rows
 
 
-def _write_table(path, header, rows, what="report"):
-    """Write a header and rows as a comma-separated table; a failure to
-    write becomes an :class:`IoError`."""
+@contextmanager
+def _create(path, what):
+    """Open a file for writing; a failure to open or write it becomes an
+    :class:`IoError` naming ``what`` is written and the path."""
     try:
         with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(header)
-            writer.writerows(rows)
+            yield fh
     except OSError as exc:
         raise IoError(f"cannot write {what} to {path}: {exc}") from exc
+
+
+def _write_table(path, header, rows, what="report"):
+    """Write a header and rows as a comma-separated table."""
+    with _create(path, what) as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def _dump_weights(weight_dump, path):
@@ -396,13 +398,9 @@ def emit_report(results, path):
     if not str(path).endswith(".json"):
         _write_table(path, columns, ([_fmt(r.get(c)) for c in columns] for r in results))
         return
-    try:
-        doc = [{c: r.get(c) for c in columns} for r in results]
-        payload = json.dumps(doc, indent=2, allow_nan=True, sort_keys=False)
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(payload + "\n")
-    except OSError as exc:
-        raise IoError(f"cannot write report to {path}: {exc}") from exc
+    payload = json.dumps([{c: r.get(c) for c in columns} for r in results], indent=2)
+    with _create(path, "report") as fh:
+        fh.write(payload + "\n")
 
 
 _SIM_COLUMNS = (

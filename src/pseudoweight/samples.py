@@ -313,21 +313,12 @@ class PooledMatrix:
     R: np.ndarray
     w: np.ndarray
     n_c: int
-    n_p: int
     lam: float
 
     def __post_init__(self):
         object.__setattr__(self, "X", _readonly(self.X))
         object.__setattr__(self, "R", _readonly(self.R))
         object.__setattr__(self, "w", _readonly(self.w))
-
-    def split(self):
-        """Recover (cohort rows, survey rows, survey fit weights) in order."""
-        return (
-            self.X[: self.n_c],
-            self.X[self.n_c :],
-            self.w[self.n_c :],
-        )
 
 
 def rdw_rescale_factor(n_c: int, d: np.ndarray) -> float:
@@ -367,6 +358,4 @@ def build_pooled_matrix(
     X = np.vstack([cohort.X, survey.X])
     R = np.concatenate([np.ones(cohort.n_c), np.zeros(survey.n_p)])
     w = np.concatenate([np.ones(cohort.n_c), survey_weight_multiplier * survey.d])
-    return PooledMatrix(
-        X=X, R=R, w=w, n_c=cohort.n_c, n_p=survey.n_p, lam=float(survey_weight_multiplier)
-    )
+    return PooledMatrix(X=X, R=R, w=w, n_c=cohort.n_c, lam=float(survey_weight_multiplier))

@@ -299,7 +299,7 @@ def poisson_sample(probabilities: np.ndarray, seed) -> np.ndarray:
     deterministic for a given seed.
     """
     pi = np.asarray(probabilities, dtype=float)
-    if np.any(pi <= 0.0) or np.any(pi > 1.0):
+    if not np.all((pi > 0.0) & (pi <= 1.0)):
         raise DomainError("inclusion probabilities must lie in (0, 1]")
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     return np.flatnonzero(rng.random(pi.shape[0]) < pi)
@@ -475,13 +475,32 @@ def _worker_block(cell_index: int, start: int, stop: int):
 _BLOCKS_PER_CELL = 64
 
 
+#: cgroup v2 CPU quota, ``max`` or ``QUOTA PERIOD`` in microseconds; inside
+#: a container this is the container's own cgroup.
+_CPU_MAX = "/sys/fs/cgroup/cpu.max"
+
+
+def _cpu_quota() -> float:
+    """CPUs the cgroup quota in :data:`_CPU_MAX` pays for, rounded up;
+    infinite when there is no quota or the file is absent or malformed."""
+    try:
+        with open(_CPU_MAX, encoding="ascii") as fh:
+            quota, period = map(int, fh.read().split())
+    except (OSError, ValueError):  # includes "max", which means no quota
+        return math.inf
+    if quota <= 0 or period <= 0:
+        return math.inf
+    return math.ceil(quota / period)
+
+
 def _usable_cpus() -> int:
-    """CPUs this process may run on.  The pool is verified on Linux only,
-    so other platforms (which lack ``os.sched_getaffinity``) count one and
-    run serially."""
+    """CPUs this process may run on: its affinity mask, capped by the
+    cgroup CPU quota.  The pool is verified on Linux only, so other
+    platforms (which lack ``os.sched_getaffinity``) count one and run
+    serially."""
     if not hasattr(os, "sched_getaffinity"):
         return 1
-    return len(os.sched_getaffinity(0))
+    return min(len(os.sched_getaffinity(0)), _cpu_quota())
 
 
 def _run_replicates(study: _Study, replicates: int):

@@ -1,9 +1,9 @@
 """Estimating-equation solvers for the two propensity systems.
 
 Both systems are solved on the unnormalized score (sums, not means), but the
-convergence tolerance is applied to the score divided by the total number of
-pooled rows, so that ``tol`` is scale free.  :func:`score_at` returns the
-same normalized score for diagnostics and tests.
+convergence tolerance :data:`TOL` is applied to the score divided by the
+total number of pooled rows, so that it is scale free.  A fit takes at most
+:data:`MAX_ITER` Newton steps.
 
 The pooled membership system,
 
@@ -24,8 +24,6 @@ one half.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from scipy.special import expit
 
@@ -37,24 +35,10 @@ from .samples import CohortSample, FitFlavor, PooledMatrix, PropensityFit, Surve
 _DIVERGENCE_BOUND = 30.0
 _MAX_CONDITION = 1e12
 _STEP_HALVING_MAX = 20
-
-
-@dataclass(frozen=True)
-class SolverConfig:
-    """Settings shared by both solvers.
-
-    ``tol`` bounds the max-norm of the score divided by the pooled row
-    count; ``max_iter`` bounds the number of Newton steps.
-    """
-
-    tol: float = 1e-10
-    max_iter: int = 50
-
-    def __post_init__(self):
-        if self.tol <= 0:
-            raise ValueError("tol must be positive")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be at least 1")
+#: Bound on the max-norm of the score divided by the pooled row count.
+TOL = 1e-10
+#: Bound on the number of Newton steps.
+MAX_ITER = 50
 
 
 def _guarded_solve(A: np.ndarray, rhs: np.ndarray, label: str) -> np.ndarray:
@@ -79,9 +63,7 @@ def _check_probabilities(p: np.ndarray, what: str) -> None:
         )
 
 
-def _damped_newton(
-    evaluate, jacobian, n_coef: int, n_rows: int, config: SolverConfig, what: str
-):
+def _damped_newton(evaluate, jacobian, n_coef: int, n_rows: int, what: str):
     """Zero a score by Newton steps halved until its max-norm decreases.
 
     ``evaluate(x)`` returns the raw score at ``x`` and the probabilities it
@@ -95,8 +77,8 @@ def _damped_newton(
     path = [norm]
 
     iterations = 0
-    for iterations in range(1, config.max_iter + 1):
-        if norm <= config.tol:
+    for iterations in range(1, MAX_ITER + 1):
+        if norm <= TOL:
             iterations -= 1
             break
         delta = _guarded_solve(jacobian(probs), score, "normal-equation matrix")
@@ -120,18 +102,18 @@ def _damped_newton(
                 coefficients=x,
             )
 
-    if norm > config.tol:
+    if norm > TOL:
         raise NonConvergenceError(
-            f"{what}-score fit did not converge in {config.max_iter} iterations "
-            f"(score norm {norm:.3e} > tol {config.tol:.1e})",
+            f"{what}-score fit did not converge in {MAX_ITER} iterations "
+            f"(score norm {norm:.3e} > tol {TOL:.1e})",
             score_norm=norm,
-            iterations=config.max_iter,
+            iterations=MAX_ITER,
             coefficients=x,
         )
     return x, iterations, path
 
 
-def fit_pooled_logistic(pooled: PooledMatrix, config: SolverConfig | None = None) -> PropensityFit:
+def fit_pooled_logistic(pooled: PooledMatrix) -> PropensityFit:
     """Weighted logistic pseudo-maximum-likelihood on the pooled rows.
 
     Returns the coefficient vector solving the weighted membership score,
@@ -140,7 +122,7 @@ def fit_pooled_logistic(pooled: PooledMatrix, config: SolverConfig | None = None
     Raises
     ------
     NonConvergenceError
-        Score norm still above tolerance after ``max_iter`` iterations, or
+        Score norm still above :data:`TOL` after :data:`MAX_ITER` steps, or
         step halving cannot improve the score (typically separation).
     SingularSystemError
         The iteratively reweighted normal equations are rank deficient.
@@ -155,7 +137,7 @@ def fit_pooled_logistic(pooled: PooledMatrix, config: SolverConfig | None = None
         return X.T @ ((w * p * (1.0 - p))[:, None] * X)
 
     beta, iterations, path = _damped_newton(
-        evaluate, jacobian, X.shape[1], X.shape[0], config or SolverConfig(), "membership"
+        evaluate, jacobian, X.shape[1], X.shape[0], "membership"
     )
     p_cohort = expit(X[: pooled.n_c] @ beta)
     p_survey = expit(X[pooled.n_c :] @ beta)
@@ -173,9 +155,7 @@ def fit_pooled_logistic(pooled: PooledMatrix, config: SolverConfig | None = None
     )
 
 
-def fit_clw_score(
-    cohort: CohortSample, survey: SurveySample, config: SolverConfig | None = None
-) -> PropensityFit:
+def fit_clw_score(cohort: CohortSample, survey: SurveySample) -> PropensityFit:
     """Newton-Raphson solve of the participation-rate score system.
 
     The score matches the cohort covariate totals against the
@@ -212,7 +192,7 @@ def fit_clw_score(
     n_rows = Xc.shape[0] + Xp.shape[0]
     try:
         gamma, iterations, path = _damped_newton(
-            evaluate, jacobian, Xc.shape[1], n_rows, config or SolverConfig(), "participation"
+            evaluate, jacobian, Xc.shape[1], n_rows, "participation"
         )
     except NonConvergenceError as exc:
         if float(np.abs(exc.coefficients).max()) > _DIVERGENCE_BOUND:
@@ -237,30 +217,3 @@ def fit_clw_score(
         final_score_norm=path[-1],
         score_norm_path=tuple(path),
     )
-
-
-def score_at(
-    flavor: FitFlavor,
-    coefficients: np.ndarray,
-    cohort: CohortSample,
-    survey: SurveySample,
-    lam: float = 1.0,
-) -> np.ndarray:
-    """Evaluate the (scale-free) estimating equation at given coefficients.
-
-    Returns the raw score divided by the pooled row count, matching the
-    solvers' convergence convention, so a converged solution satisfies
-    ``abs(score_at(...)).max() <= tol``.
-    """
-    coefficients = np.asarray(coefficients, dtype=float)
-    n_rows = cohort.n_c + survey.n_p
-    if flavor is FitFlavor.POOLED_MEMBERSHIP:
-        p_c = expit(cohort.X @ coefficients)
-        p_s = expit(survey.X @ coefficients)
-        raw = (1.0 - p_c) @ cohort.X - (lam * survey.d * p_s) @ survey.X
-    elif flavor is FitFlavor.CLW_SCORE:
-        pi_s = expit(survey.X @ coefficients)
-        raw = cohort.X.sum(axis=0) - (survey.d * pi_s) @ survey.X
-    else:  # pragma: no cover - exhaustive enum
-        raise ValueError(f"unknown fit flavor {flavor!r}")
-    return raw / n_rows

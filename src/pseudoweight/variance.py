@@ -53,9 +53,6 @@ class VarianceBreakdown:
     v_cohort: float
     v_design: float
     v_total: float
-    b_hat: np.ndarray
-    n_hat_cohort: float
-    n_hat_survey: float
     warnings: tuple = ()
 
 
@@ -247,16 +244,13 @@ def tl_variance(
         v_cohort=v_cohort,
         v_design=v_design,
         v_total=v_cohort + v_design,
-        b_hat=b_hat,
-        n_hat_cohort=float(np.sum(weights)),
-        n_hat_survey=float(fit.lam * np.sum(survey.d)),
         warnings=warnings,
     )
 
 
 def fixed_weight_variance(
     cohort: CohortSample, participation: np.ndarray, mu_hat: float
-) -> VarianceBreakdown:
+) -> float:
     """Variance treating the participation probabilities as known constants.
 
     No coefficient-uncertainty term and no design component: this is the
@@ -264,15 +258,5 @@ def fixed_weight_variance(
     ``1/participation``, used for the true-weight oracle estimator.
     """
     pi = np.asarray(participation, dtype=float)
-    w = 1.0 / pi
     b0 = np.zeros(cohort.n_covariates)
-    v = variance_cohort_component(cohort, pi, 1.0 - pi, w, mu_hat, b0)
-    return VarianceBreakdown(
-        v_cohort=v,
-        v_design=0.0,
-        v_total=v,
-        b_hat=b0,
-        n_hat_cohort=float(np.sum(w)),
-        n_hat_survey=0.0,
-        warnings=(),
-    )
+    return variance_cohort_component(cohort, pi, 1.0 - pi, 1.0 / pi, mu_hat, b0)

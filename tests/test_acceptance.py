@@ -53,10 +53,11 @@ from pseudoweight import (
     hajek_mean,
     rdw_rescale_factor,
     run_monte_carlo,
-    score_at,
     variance_cohort_component,
 )
 from pseudoweight.cli import main
+
+from oracles import score_at
 
 DESK_POPULATION = PopulationConfig(N=50_000, seed=2468)
 DESK_REPLICATES = 1000

@@ -18,10 +18,10 @@ from pseudoweight import (
     clw_weights,
     estimate,
     estimate_each,
+    estimate_from_fit,
     fdw_weights,
     fit_for_method,
     hajek_mean,
-    rdw_weights,
 )
 
 PROPERTY_SETTINGS = settings(max_examples=150, deadline=None, derandomize=True)
@@ -68,7 +68,10 @@ class TestWeightFormulas:
 
     def test_rdw_is_reciprocal_probability(self):
         # the rescaled fit estimates the participation rate directly
-        np.testing.assert_allclose(rdw_weights(np.array([1 / 3])), [3.0], atol=1e-12)
+        cohort, survey = synthetic_pair()
+        fit = fit_for_method(Method.RDW, cohort, survey)
+        res = estimate_from_fit(MethodSpec(Method.RDW), fit, cohort, survey)
+        np.testing.assert_allclose(res.weights * fit.p_hat_cohort, 1.0, atol=1e-12)
 
     def test_clw_examples(self):
         X = np.array([[1.0, 0.0]])
@@ -178,6 +181,13 @@ class TestEstimate:
         assert res.mu_hat == pytest.approx(float(cohort.y.mean()), abs=1e-12)
         assert res.var_hat is not None and res.var_hat > 0
         assert res.ci_low < res.mu_hat < res.ci_high
+
+    def test_tw_rejects_nan_participation(self):
+        cohort, survey = synthetic_pair()
+        pi = np.full(cohort.n_c, 0.25)
+        pi[1] = np.nan
+        with pytest.raises(DomainError):
+            estimate(Method.TW, cohort, survey, true_participation=pi)
 
     def test_tw_requires_participation(self):
         cohort, survey = synthetic_pair()

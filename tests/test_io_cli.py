@@ -53,6 +53,14 @@ class TestIngest:
         assert isinstance(survey, SurveySample)
         assert survey.d.sum() == pytest.approx(4.0)
 
+    def test_survey_outcome_read_only_when_present(self, tmp_path):
+        path = write(tmp_path / "s.csv", SURVEY_CSV)
+        survey = ingest_delimited(path, covariates=["x1", "x2"], outcome="y", weight="w")
+        assert survey.y is None
+        path = write(tmp_path / "sy.csv", "y,x1,w\n3.5,0.2,2.0\n")
+        survey = ingest_delimited(path, covariates=["x1"], outcome="y", weight="w")
+        np.testing.assert_array_equal(survey.y, [3.5])
+
     def test_na_cell_is_parse_error_naming_the_cell(self, tmp_path):
         path = write(tmp_path / "c.csv", "y,x1\n1,0.5\n2,NA\n")
         with pytest.raises(ParseError) as err:
@@ -334,6 +342,42 @@ class TestEstimationJob:
         rows = run_estimation_job(job)
         assert [r["method"] for r in rows] == ["naive", "rdw", "fdw", "alp", "clw", "alps"]
         assert calls == {"fit": 3, "validate": 1}
+
+    def test_survey_file_opened_once(self, tmp_path, monkeypatch):
+        cohort_path, survey_path, _ = self_paired_files(tmp_path, n=25)
+        opened = []
+
+        def counted(path):
+            opened.append(path)
+            return real_open(path)
+
+        real_open = io._open
+        monkeypatch.setattr(io, "_open", counted)
+        job = EstimationJob(
+            cohort_path=cohort_path,
+            survey_path=survey_path,
+            outcome_column="y",
+            covariate_columns=("x1", "x2"),
+            weight_column="w",
+        )
+        assert "pct_rd" in run_estimation_job(job)[0]
+        assert opened == [cohort_path, survey_path]
+
+    def test_survey_row_bad_in_outcome_and_weight_names_the_outcome(self, tmp_path):
+        # declared order (covariates, outcome, weight) decides, not file order
+        cohort_path, _, _ = self_paired_files(tmp_path, n=25)
+        survey_path = write(
+            tmp_path / "bad.csv", "w,y,x1,x2\n2.0,1.0,0.1,0.2\nabc,xyz,0.3,0.4\n"
+        )
+        job = EstimationJob(
+            cohort_path=cohort_path,
+            survey_path=survey_path,
+            outcome_column="y",
+            covariate_columns=("x1", "x2"),
+            weight_column="w",
+        )
+        with pytest.raises(ParseError, match="row 3, column 'y': cannot parse 'xyz'"):
+            run_estimation_job(job)
 
     def test_tw_is_rejected_before_any_file_is_read(self, tmp_path):
         # neither file exists, so reading one would raise IoError instead

@@ -118,10 +118,10 @@ class TestPooledMatrix:
     def test_round_trip_split(self):
         cohort = make_cohort(n=5)
         survey = make_survey(n=7)
-        Xc, Xp, wp = build_pooled_matrix(cohort, survey, 0.5).split()
-        np.testing.assert_array_equal(Xc, cohort.X)
-        np.testing.assert_array_equal(Xp, survey.X)
-        np.testing.assert_allclose(wp, 0.5 * survey.d, rtol=0, atol=0)
+        pooled = build_pooled_matrix(cohort, survey, 0.5)
+        np.testing.assert_array_equal(pooled.X[: pooled.n_c], cohort.X)
+        np.testing.assert_array_equal(pooled.X[pooled.n_c :], survey.X)
+        np.testing.assert_allclose(pooled.w[pooled.n_c :], 0.5 * survey.d, rtol=0, atol=0)
 
     def test_rdw_rule_scales_by_out_of_cohort_share(self):
         # survey weight total 200 with a 50-unit cohort: factor 150/200

@@ -287,6 +287,10 @@ class TestPoissonSampling:
         with pytest.raises(DomainError):
             poisson_sample(np.array([1.1]), seed=1)
 
+    def test_nan_probability_rejected(self):
+        with pytest.raises(DomainError):
+            poisson_sample(np.array([0.5, np.nan, 1.0]), seed=0)
+
 
 class TestMetrics:
     def test_exact_estimates(self):
@@ -529,3 +533,29 @@ class TestReplicateEngine:
         # no intercept keeps every log-link probability below one at 99.9%
         with pytest.raises(CellInfeasibleError, match="f_c=0.999"):
             run_monte_carlo(**small_grid(scenarios=(Scenario.LOG_LINK,), f_c_grid=(0.05, 0.999)))
+
+
+@pytest.mark.parametrize(
+    "content, cpus",
+    [
+        ("max 100000\n", 8),
+        ("200000 100000\n", 2),
+        ("150000 100000\n", 2),
+        ("50000 100000\n", 1),
+        ("800000 100000\n", 8),
+        ("max\n", 8),
+        ("100000 0\n", 8),
+        ("garbage\n", 8),
+        ("\xff\n", 8),
+        (None, 8),
+    ],
+)
+def test_usable_cpus_capped_by_cgroup_quota(tmp_path, monkeypatch, content, cpus):
+    path = tmp_path / "cpu.max"
+    if content is not None:
+        path.write_bytes(content.encode("latin-1"))
+    monkeypatch.setattr(simulation, "_CPU_MAX", str(path))
+    monkeypatch.setattr(
+        simulation.os, "sched_getaffinity", lambda pid: set(range(8)), raising=False
+    )
+    assert simulation._usable_cpus() == cpus

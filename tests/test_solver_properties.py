@@ -18,16 +18,16 @@ from pseudoweight import (
     InfeasibleTotalsError,
     NonConvergenceError,
     SingularSystemError,
-    SolverConfig,
     SurveySample,
     build_pooled_matrix,
     fit_clw_score,
     fit_pooled_logistic,
-    score_at,
+    solvers,
 )
 
+from oracles import score_at
+
 SOLVER_ERRORS = (NonConvergenceError, SingularSystemError, InfeasibleTotalsError)
-TOL = SolverConfig().tol
 PROPERTY_SETTINGS = settings(max_examples=150, deadline=None, derandomize=True)
 
 
@@ -50,7 +50,7 @@ def sample_pairs(draw):
 
 
 def assert_solved(fit, flavor, cohort, survey, lam):
-    assert np.abs(score_at(flavor, fit.beta, cohort, survey, lam)).max() <= TOL
+    assert np.abs(score_at(flavor, fit.beta, cohort, survey, lam)).max() <= solvers.TOL
     path = fit.score_norm_path
     assert all(later <= earlier for earlier, later in zip(path, path[1:]))
     assert fit.final_score_norm == path[-1]
@@ -78,7 +78,7 @@ def test_clw_fit_solves_its_score_or_raises_a_solver_error(pair):
     assert_solved(fit, FitFlavor.CLW_SCORE, cohort, survey, 1.0)
 
 
-def test_clw_divergence_reraised_as_infeasible_totals():
+def test_clw_divergence_reraised_as_infeasible_totals(monkeypatch):
     # the cohort's x-total (3) equals the survey's weighted x-total, so only
     # a participation probability of exactly one reproduces it: the slope
     # grows without bound and passes the divergence bound by iteration 16
@@ -87,8 +87,9 @@ def test_clw_divergence_reraised_as_infeasible_totals():
         X=np.column_stack([np.ones(4), [0.0, 0.0, 1.0, 1.0]]),
         d=np.array([2.0, 2.0, 1.5, 1.5]),
     )
+    monkeypatch.setattr(solvers, "MAX_ITER", 16)
     with pytest.raises(InfeasibleTotalsError) as info:
-        fit_clw_score(cohort, survey, SolverConfig(max_iter=16))
+        fit_clw_score(cohort, survey)
     cause = info.value.__cause__
     assert isinstance(cause, NonConvergenceError)
     assert cause.coefficients is not None

@@ -8,13 +8,14 @@ from pseudoweight import (
     InfeasibleTotalsError,
     NonConvergenceError,
     SingularSystemError,
-    SolverConfig,
     SurveySample,
     build_pooled_matrix,
     fit_clw_score,
     fit_pooled_logistic,
-    score_at,
+    solvers,
 )
+
+from oracles import score_at
 
 
 def intercept_only(n_c, d_values):
@@ -107,13 +108,12 @@ class TestPooledLogistic:
         with pytest.raises((NonConvergenceError, SingularSystemError)):
             fit_pooled_logistic(build_pooled_matrix(cohort, survey))
 
-    def test_iteration_cap_respected(self):
+    def test_iteration_cap_respected(self, monkeypatch):
         cohort = CohortSample(y=np.zeros(4), X=GRID_POOLED_XC)
         survey = SurveySample(X=GRID_POOLED_XP, d=GRID_POOLED_D)
+        monkeypatch.setattr(solvers, "MAX_ITER", 1)
         with pytest.raises(NonConvergenceError):
-            fit_pooled_logistic(
-                build_pooled_matrix(cohort, survey), SolverConfig(max_iter=1)
-            )
+            fit_pooled_logistic(build_pooled_matrix(cohort, survey))
 
 
 class TestClwScore:
