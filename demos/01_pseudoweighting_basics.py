@@ -52,8 +52,8 @@ print(f"cohort size          : {cohort.n_c}  (naive mean {cohort.y.mean():.4f})"
 print(f"survey size          : {survey.n_p}  (weight total {survey.d.sum():.0f})")
 print()
 
-report = validate_paired_samples(cohort, survey)
-assert report.ok, report.violations
+# raises a ValidationError listing every violation if the pair is unusable
+validate_paired_samples(cohort, survey)
 
 # --- run every method; the true-weight oracle gets the real probabilities
 header = f"{'method':6s} {'estimate':>9s} {'std.err':>8s} {'95% interval':>20s} {'bias':>8s}"

@@ -54,7 +54,6 @@ from .samples import (
     PooledMatrix,
     PropensityFit,
     SurveySample,
-    ValidationReport,
     WeightedEstimate,
     build_pooled_matrix,
     default_lambda,

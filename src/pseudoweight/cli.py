@@ -102,14 +102,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     sim = sub.add_parser("simulate", help="run the Monte Carlo study grid")
     sim.add_argument("--config", default=None, help="JSON configuration file")
-    sim.add_argument("--out", default=None, help="report CSV path (overrides config)")
-    sim.add_argument("--seed", type=int, default=None, help="replicate base seed (overrides config)")
     sim.add_argument(
-        "--replicates", type=int, default=None, help="replicates per cell (overrides config)"
+        "--out", dest="output", metavar="OUT", help="report CSV path (overrides config)"
     )
     sim.add_argument(
-        "--population-size", type=int, default=None, help="population size (overrides config)"
+        "--seed",
+        dest="base_seed",
+        metavar="SEED",
+        type=int,
+        help="replicate base seed (overrides config)",
     )
+    sim.add_argument("--replicates", type=int, help="replicates per cell (overrides config)")
+    sim.add_argument("--population-size", type=int, help="population size (overrides config)")
     return parser
 
 
@@ -197,14 +201,9 @@ def _run_simulate(args) -> int:
     cfg = dict(_SIM_DEFAULTS)
     if args.config:
         cfg.update(_load_config(args.config))
-    if args.out is not None:
-        cfg["output"] = args.out
-    if args.seed is not None:
-        cfg["base_seed"] = args.seed
-    if args.replicates is not None:
-        cfg["replicates"] = args.replicates
-    if args.population_size is not None:
-        cfg["population_size"] = args.population_size
+    for key in ("output", "base_seed", "replicates", "population_size"):
+        if getattr(args, key) is not None:
+            cfg[key] = getattr(args, key)
 
     report = run_monte_carlo(**_study_arguments(cfg))
     emit_simulation_report(report, cfg["output"])

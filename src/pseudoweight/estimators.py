@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, EmptyInputError, PseudoweightError, ValidationError
+from .errors import DomainError, EmptyInputError, PseudoweightError
 from .samples import (
     CohortSample,
     FitFlavor,
@@ -277,9 +277,7 @@ def estimate(
     """
     if isinstance(spec, Method):
         spec = MethodSpec(method=spec)
-    report = validate_paired_samples(cohort, survey)
-    if not report.ok:
-        raise ValidationError(report.violations)
+    validate_paired_samples(cohort, survey)
     (result,) = estimate_each([spec], cohort, survey, true_participation)
     if isinstance(result, PseudoweightError):
         raise result

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import warnings as _warnings
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -37,7 +38,6 @@ from .errors import (
     MissingColumnError,
     ParseError,
     PseudoweightError,
-    ValidationError,
 )
 from .estimators import Method, MethodSpec, estimate_each, hajek_mean
 from .samples import (
@@ -263,9 +263,10 @@ class EstimationJob:
 
 
 def _weight_summary(w: np.ndarray):
+    """The report's ``w_min``, ``w_max`` and ``w_cv`` columns."""
     mean = float(np.mean(w))
     cv = float(np.std(w, ddof=1) / mean) if w.size > 1 and mean != 0 else 0.0
-    return float(np.min(w)), float(np.max(w)), cv
+    return {"w_min": float(np.min(w)), "w_max": float(np.max(w)), "w_cv": cv}
 
 
 def run_estimation_job(job: EstimationJob):
@@ -302,9 +303,7 @@ def run_estimation_job(job: EstimationJob):
         )
     ingest_warnings = tuple(str(w.message) for w in caught)
 
-    report = validate_paired_samples(cohort, survey)
-    if not report.ok:
-        raise ValidationError(report.violations)
+    validate_paired_samples(cohort, survey)
 
     mu_ref = None
     if survey.y is not None:
@@ -316,7 +315,6 @@ def run_estimation_job(job: EstimationJob):
     for result in estimate_each(specs, cohort, survey):
         if isinstance(result, PseudoweightError):
             raise result
-        w_min, w_max, w_cv = _weight_summary(result.weights)
         row = {
             "method": result.method,
             "estimate": result.mu_hat,
@@ -331,9 +329,7 @@ def run_estimation_job(job: EstimationJob):
                 if result.var_hat is not None
                 else None
             )
-        row["w_min"] = w_min
-        row["w_max"] = w_max
-        row["w_cv"] = w_cv
+        row.update(_weight_summary(result.weights))
         row["warnings"] = "; ".join(result.warnings + ingest_warnings)
         rows.append(row)
         weight_dump[result.method] = result.weights
@@ -384,12 +380,18 @@ _COLUMN_ORDER = (
 )
 
 
+def _json(value):
+    return None if isinstance(value, float) and not math.isfinite(value) else value
+
+
 def emit_report(results, path):
     """Write estimation results as a delimited table or structured document.
 
-    A path ending in ``.json`` gets a JSON document; any other path gets a
-    delimited table.  Column order is fixed; optional columns appear only
-    when present in the rows.  Refuses to write an empty report.
+    A path ending in ``.json`` gets a JSON document, in which a float that
+    JSON cannot hold (the NaN interval of a negative variance) is ``null``;
+    any other path gets a delimited table.  Column order is fixed; optional
+    columns appear only when present in the rows.  Refuses to write an
+    empty report.
     """
     results = list(results)
     if not results:
@@ -398,7 +400,7 @@ def emit_report(results, path):
     if not str(path).endswith(".json"):
         _write_table(path, columns, ([_fmt(r.get(c)) for c in columns] for r in results))
         return
-    payload = json.dumps([{c: r.get(c) for c in columns} for r in results], indent=2)
+    payload = json.dumps([{c: _json(r.get(c)) for c in columns} for r in results], indent=2)
     with _create(path, "report") as fh:
         fh.write(payload + "\n")
 

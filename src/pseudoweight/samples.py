@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DesignError, RescaleError
+from .errors import DesignError, RescaleError, ValidationError
 
 
 class DesignKind(str, enum.Enum):
@@ -196,7 +196,8 @@ class PropensityFit:
     ``lam`` is the constant multiplier that was applied to the survey design
     weights while fitting (1 for an unscaled fit).  ``score_norm_path``
     records the scale-free score max-norm at each accepted iterate, starting
-    from the initial point; it is non-increasing by construction.
+    from the initial point; it is non-increasing by construction, and
+    :attr:`iterations` and :attr:`final_score_norm` read its length and end.
     """
 
     beta: np.ndarray
@@ -204,14 +205,20 @@ class PropensityFit:
     p_hat_survey: np.ndarray
     flavor: FitFlavor
     lam: float
-    iterations: int
-    final_score_norm: float
-    score_norm_path: tuple = ()
+    score_norm_path: tuple
 
     def __post_init__(self):
         object.__setattr__(self, "beta", _readonly(self.beta))
         object.__setattr__(self, "p_hat_cohort", _readonly(self.p_hat_cohort))
         object.__setattr__(self, "p_hat_survey", _readonly(self.p_hat_survey))
+
+    @property
+    def iterations(self) -> int:
+        return len(self.score_norm_path) - 1
+
+    @property
+    def final_score_norm(self) -> float:
+        return self.score_norm_path[-1]
 
 
 @dataclass(frozen=True)
@@ -237,24 +244,13 @@ class WeightedEstimate:
         object.__setattr__(self, "weights", _readonly(self.weights))
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    """Outcome of :func:`validate_paired_samples`; empty violations mean ok."""
-
-    violations: tuple
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
-def validate_paired_samples(cohort: CohortSample, survey: SurveySample) -> ValidationReport:
+def validate_paired_samples(cohort: CohortSample, survey: SurveySample) -> None:
     """Check that a cohort/survey pair can be analysed together.
 
-    This is a reporting operation: it returns every violation found instead
-    of raising, so callers can decide whether to abort.  Checks cover column
-    compatibility, finiteness, weight positivity, the intercept contract, and
-    design-label consistency for stratified surveys.
+    Raises one :class:`ValidationError` listing every violation found in
+    its ``violations``.  Checks cover column compatibility, finiteness,
+    weight positivity, the intercept contract, and design-label consistency
+    for stratified surveys.
     """
     v = []
     if cohort.n_covariates != survey.n_covariates:
@@ -296,7 +292,8 @@ def validate_paired_samples(cohort: CohortSample, survey: SurveySample) -> Valid
                 )
             except DesignError as exc:
                 v.append(str(exc))
-    return ValidationReport(violations=tuple(v))
+    if v:
+        raise ValidationError(v)
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,7 @@ Seed discipline: replicate generators are spawned from the base seed with a
 counter key ``(scenario code, participation-rate key, replicate index)``, so
 any cell or replicate can be reproduced in isolation.  The engine relies on
 that: after the calling process has generated the population and calibrated
-every cell, forked worker processes draw and estimate blocks of replicates
+every cell, forked worker processes draw and estimate chunks of replicates
 in whatever order they come free, and the calling process reduces their
 results in replicate order, so the report does not depend on the number of
 workers.
@@ -464,13 +464,13 @@ def _start_worker(study: _Study):
     _worker_study = study
 
 
-def _worker_block(cell_index: int, start: int, stop: int):
-    return [_replicate(_worker_study, cell_index, rep) for rep in range(start, stop)]
+def _worker_replicate(unit):
+    return _replicate(_worker_study, *unit)
 
 
-#: A cell's replicates are handed out in about this many blocks: small
-#: blocks even out the workers' loads at the end of a study, while a
-#: block's dispatch (a fraction of a millisecond) stays small against its
+#: A cell's replicates are handed out in about this many chunks: small
+#: chunks even out the workers' loads at the end of a study, while a
+#: chunk's dispatch (a fraction of a millisecond) stays small against its
 #: replicates' work (5-17 ms each on the desk population).
 _BLOCKS_PER_CELL = 64
 
@@ -508,25 +508,20 @@ def _run_replicates(study: _Study, replicates: int):
 
     One worker per usable CPU, capped at the number of (cell, replicate)
     units.  One worker runs the units in this process.  More run them in
-    blocks in a pool of forked processes, which inherit the calibrated
-    study instead of receiving it with every block; ``map`` yields the
-    blocks in submission order, so the reduction sees the same lists
+    chunks in a pool of forked processes, which inherit the calibrated
+    study instead of receiving it with every chunk; ``map`` yields the
+    results in submission order, so the reduction sees the same lists
     whatever the worker count.
     """
     n_cells = len(study.cells)
-    workers = min(_usable_cpus(), n_cells * replicates)
+    units = [(c, rep) for c in range(n_cells) for rep in range(replicates)]
+    workers = min(_usable_cpus(), len(units))
     if workers <= 1:
-        done = [_replicate(study, c, rep) for c in range(n_cells) for rep in range(replicates)]
+        done = [_replicate(study, *unit) for unit in units]
     else:
         import multiprocessing
         from concurrent.futures import ProcessPoolExecutor
 
-        size = max(1, replicates // _BLOCKS_PER_CELL)
-        blocks = [
-            (c, start, min(start + size, replicates))
-            for c in range(n_cells)
-            for start in range(0, replicates, size)
-        ]
         # Forked, not spawned: a spawned worker would import the package
         # afresh and receive the population by pickle, and that fixed cost
         # per call is what bounds the gain on short studies.
@@ -536,7 +531,8 @@ def _run_replicates(study: _Study, replicates: int):
             initializer=_start_worker,
             initargs=(study,),
         ) as pool:
-            done = [o for block in pool.map(_worker_block, *zip(*blocks)) for o in block]
+            chunksize = max(1, replicates // _BLOCKS_PER_CELL)
+            done = list(pool.map(_worker_replicate, units, chunksize=chunksize))
     return [done[c * replicates : (c + 1) * replicates] for c in range(n_cells)]
 
 
@@ -552,12 +548,8 @@ def _cell_results(cell: ScenarioConfig, methods, outcomes, mu: float):
             mu_hat, var_hat, ci_low, ci_high, warnings = per_method[i]
             est.append(mu_hat)
             for w in warnings:
-                key, _, count = w.partition(":")
-                key = key.strip()
-                try:
-                    n = int(count.strip()) if count else 1
-                except ValueError:
-                    n = 1
+                key, _, count = (part.strip() for part in w.partition(":"))
+                n = int(count) if count.isdecimal() else 1
                 warn_counts[key] = warn_counts.get(key, 0) + n
             if var_hat is not None:
                 var.append(var_hat)
@@ -578,26 +570,14 @@ def _cell_results(cell: ScenarioConfig, methods, outcomes, mu: float):
                 n_replicates=len(est),
                 n_excluded=len(outcomes) - len(est),
                 mean_cohort_size=float(np.mean([n_c for n_c, _ in outcomes])),
-                pct_rb=metrics.pct_rb,
-                v_emp=metrics.v_emp,
-                mse=metrics.mse,
-                vr=metrics.vr,
-                cp=metrics.cp,
                 warning_counts=tuple(sorted(warn_counts.items())),
+                **vars(metrics),
             )
         )
     return results
 
 
-DEFAULT_METHODS = (
-    Method.NAIVE,
-    Method.TW,
-    Method.RDW,
-    Method.FDW,
-    Method.ALP,
-    Method.CLW,
-    Method.ALPS,
-)
+DEFAULT_METHODS = tuple(Method)
 DEFAULT_F_C_GRID = (0.005, 0.05, 0.10, 0.20)
 
 

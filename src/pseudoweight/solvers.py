@@ -68,49 +68,43 @@ def _damped_newton(evaluate, jacobian, n_coef: int, n_rows: int, what: str):
 
     ``evaluate(x)`` returns the raw score at ``x`` and the probabilities it
     used, from which ``jacobian`` builds the Newton matrix.  Returns the
-    solution, the step count and the score-norm path; a failure raises
-    :class:`NonConvergenceError` carrying the last accepted coefficients.
+    solution, the probabilities ``evaluate`` gave there and the score-norm
+    path; a failure raises :class:`NonConvergenceError` carrying the last
+    accepted coefficients.
     """
     x = np.zeros(n_coef)
     score, probs = evaluate(x)
-    norm = float(np.abs(score).max()) / n_rows
-    path = [norm]
-
-    iterations = 0
-    for iterations in range(1, MAX_ITER + 1):
-        if norm <= TOL:
-            iterations -= 1
-            break
+    path = [float(np.abs(score).max()) / n_rows]
+    while path[-1] > TOL:
+        if len(path) > MAX_ITER:
+            raise NonConvergenceError(
+                f"{what}-score fit did not converge in {MAX_ITER} iterations "
+                f"(score norm {path[-1]:.3e} > tol {TOL:.1e})",
+                score_norm=path[-1],
+                iterations=MAX_ITER,
+                coefficients=x,
+            )
         delta = _guarded_solve(jacobian(probs), score, "normal-equation matrix")
 
         step = 1.0
         for _ in range(_STEP_HALVING_MAX + 1):
             cand = x + step * delta
             score_cand, probs_cand = evaluate(cand)
-            norm_cand = float(np.abs(score_cand).max()) / n_rows
-            if norm_cand < norm:
-                x, probs, score, norm = cand, probs_cand, score_cand, norm_cand
+            norm = float(np.abs(score_cand).max()) / n_rows
+            if norm < path[-1]:
+                x, probs, score = cand, probs_cand, score_cand
                 path.append(norm)
                 break
             step *= 0.5
         else:
             raise NonConvergenceError(
                 f"step halving exhausted without improving the {what} score "
-                f"(norm {norm:.3e})",
-                score_norm=norm,
-                iterations=iterations,
+                f"(norm {path[-1]:.3e})",
+                score_norm=path[-1],
+                iterations=len(path),
                 coefficients=x,
             )
-
-    if norm > TOL:
-        raise NonConvergenceError(
-            f"{what}-score fit did not converge in {MAX_ITER} iterations "
-            f"(score norm {norm:.3e} > tol {TOL:.1e})",
-            score_norm=norm,
-            iterations=MAX_ITER,
-            coefficients=x,
-        )
-    return x, iterations, path
+    return x, probs, path
 
 
 def fit_pooled_logistic(pooled: PooledMatrix) -> PropensityFit:
@@ -136,11 +130,8 @@ def fit_pooled_logistic(pooled: PooledMatrix) -> PropensityFit:
     def jacobian(p):
         return X.T @ ((w * p * (1.0 - p))[:, None] * X)
 
-    beta, iterations, path = _damped_newton(
-        evaluate, jacobian, X.shape[1], X.shape[0], "membership"
-    )
-    p_cohort = expit(X[: pooled.n_c] @ beta)
-    p_survey = expit(X[pooled.n_c :] @ beta)
+    beta, p, path = _damped_newton(evaluate, jacobian, X.shape[1], X.shape[0], "membership")
+    p_cohort, p_survey = p[: pooled.n_c], p[pooled.n_c :]
     _check_probabilities(p_cohort, "cohort")
     _check_probabilities(p_survey, "survey")
     return PropensityFit(
@@ -149,8 +140,6 @@ def fit_pooled_logistic(pooled: PooledMatrix) -> PropensityFit:
         p_hat_survey=p_survey,
         flavor=FitFlavor.POOLED_MEMBERSHIP,
         lam=pooled.lam,
-        iterations=iterations,
-        final_score_norm=path[-1],
         score_norm_path=tuple(path),
     )
 
@@ -191,7 +180,7 @@ def fit_clw_score(cohort: CohortSample, survey: SurveySample) -> PropensityFit:
 
     n_rows = Xc.shape[0] + Xp.shape[0]
     try:
-        gamma, iterations, path = _damped_newton(
+        gamma, pi_survey, path = _damped_newton(
             evaluate, jacobian, Xc.shape[1], n_rows, "participation"
         )
     except NonConvergenceError as exc:
@@ -204,7 +193,6 @@ def fit_clw_score(cohort: CohortSample, survey: SurveySample) -> PropensityFit:
         raise
 
     pi_cohort = expit(Xc @ gamma)
-    pi_survey = expit(Xp @ gamma)
     _check_probabilities(pi_cohort, "cohort participation")
     _check_probabilities(pi_survey, "survey participation")
     return PropensityFit(
@@ -213,7 +201,5 @@ def fit_clw_score(cohort: CohortSample, survey: SurveySample) -> PropensityFit:
         p_hat_survey=pi_survey,
         flavor=FitFlavor.CLW_SCORE,
         lam=1.0,
-        iterations=iterations,
-        final_score_norm=path[-1],
         score_norm_path=tuple(path),
     )

@@ -237,14 +237,11 @@ def tl_variance(
     D = _design_matrix(survey, p_s, fit.lam)
     v_design = float(b_hat @ D @ b_hat)
 
-    warnings = ()
-    if v_cohort < 0:
-        warnings = ("negative-cohort-component",)
     return VarianceBreakdown(
         v_cohort=v_cohort,
         v_design=v_design,
         v_total=v_cohort + v_design,
-        warnings=warnings,
+        warnings=("negative-cohort-component",) if v_cohort < 0 else (),
     )
 
 

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -156,6 +157,20 @@ class TestEmitReport:
         doc = json.loads(out.read_text())
         assert doc[0]["method"] == "alp"
         assert doc[0]["estimate"] == 1.5
+
+    def test_json_writes_null_for_non_finite_floats(self, tmp_path):
+        # a negative variance leaves the interval NaN
+        rows = [dict(self.ROWS[0], variance=-0.07, ci_low=math.nan, ci_high=math.nan)]
+
+        def refuse(token):
+            raise ValueError(f"{token} is not JSON")
+
+        emit_report(rows, tmp_path / "r.json")
+        (doc,) = json.loads((tmp_path / "r.json").read_text(), parse_constant=refuse)
+        assert doc["ci_low"] is None and doc["ci_high"] is None
+        assert doc["variance"] == -0.07
+        emit_report(rows, tmp_path / "r.csv")
+        assert ",-0.07,nan,nan," in (tmp_path / "r.csv").read_text()
 
 
 def self_paired_files(tmp_path, n=60, seed=0):
@@ -488,6 +503,40 @@ class TestCli:
         assert w_lines[0] == "unit,alp,fdw"
         alp_w = np.array([float(l.split(",")[1]) for l in w_lines[1:]])
         np.testing.assert_allclose(alp_w, 1.0, atol=1e-6)
+
+    def test_truncate_pi_floors_alp_weights_at_one(self, tmp_path):
+        # a cohort as large as half the survey weight total, shifted in x:
+        # the right tail's fitted membership probabilities exceed one half
+        rng = np.random.default_rng(8)
+        xc = rng.normal(1.0, 1.0, 40)
+        yc = 1.0 + xc + rng.normal(size=40)
+        xs = rng.normal(size=40)
+        write(tmp_path / "c.csv", "y,x1\n" + "".join(
+            f"{a!r},{b!r}\n" for a, b in zip(yc.tolist(), xc.tolist())))
+        write(tmp_path / "s.csv", "x1,w\n" + "".join(f"{a!r},2.0\n" for a in xs.tolist()))
+        rows = {}
+        for flag in ((), ("--truncate-pi",)):
+            out = tmp_path / f"r{len(flag)}.json"
+            argv = [
+                "estimate",
+                "--cohort", str(tmp_path / "c.csv"),
+                "--survey", str(tmp_path / "s.csv"),
+                "--outcome", "y",
+                "--covariates", "x1",
+                "--weight", "w",
+                "--methods", "alp",
+                "--out", str(out),
+            ]
+            assert main(argv + list(flag)) == 0
+            (rows[bool(flag)],) = json.loads(out.read_text())
+        assert rows[False]["w_min"] < 1.0
+        assert rows[True]["w_min"] == 1.0
+        above = [
+            w for w in rows[False]["warnings"].split("; ")
+            if w.startswith("pi-hat-above-one: ")
+        ]
+        assert len(above) == 1 and int(above[0].partition(": ")[2]) > 0
+        assert above[0] in rows[True]["warnings"].split("; ")
 
     def test_estimate_iid_design_matches_library(self, tmp_path):
         (cohort_path, survey_path), (yc, xc, xs, d) = random_pair_files(tmp_path)

@@ -10,6 +10,7 @@ from pseudoweight import (
     DesignKind,
     RescaleError,
     SurveySample,
+    ValidationError,
     build_pooled_matrix,
     default_lambda,
     rdw_rescale_factor,
@@ -48,24 +49,29 @@ class TestContainers:
             c.y[0] = 5.0
 
 
+def violations(cohort, survey):
+    """The violations :func:`validate_paired_samples` raises for a pair."""
+    with pytest.raises(ValidationError) as err:
+        validate_paired_samples(cohort, survey)
+    assert str(err.value) == "; ".join(err.value.violations)
+    return err.value.violations
+
+
 class TestValidation:
     def test_matching_shapes_ok(self):
-        report = validate_paired_samples(make_cohort(p_extra=2), make_survey(p_extra=2))
-        assert report.ok
-        assert report.violations == ()
+        assert validate_paired_samples(make_cohort(p_extra=2), make_survey(p_extra=2)) is None
 
     def test_column_mismatch_reported(self):
-        report = validate_paired_samples(make_cohort(p_extra=2), make_survey(p_extra=3))
-        assert not report.ok
-        assert any("column mismatch" in v for v in report.violations)
+        found = violations(make_cohort(p_extra=2), make_survey(p_extra=3))
+        assert any("column mismatch" in v for v in found)
 
     def test_zero_weight_reported_with_row(self):
         s = make_survey()
         d = s.d.copy()
         d[2] = 0.0
         bad = SurveySample(X=s.X, d=d)
-        report = validate_paired_samples(make_cohort(), bad)
-        assert any("nonpositive design weight at row 2" in v for v in report.violations)
+        found = violations(make_cohort(), bad)
+        assert any("nonpositive design weight at row 2" in v for v in found)
 
     def test_single_psu_stratum_reported(self):
         s = make_survey(n=4)
@@ -75,8 +81,8 @@ class TestValidation:
             psu=np.array([1, 2, 3, 3]),
         )
         bad = SurveySample(X=s.X, d=s.d, design=design)
-        report = validate_paired_samples(make_cohort(), bad)
-        assert any("stratum 'b' has < 2 PSUs" in v for v in report.violations)
+        found = violations(make_cohort(), bad)
+        assert any("stratum 'b' has < 2 PSUs" in v for v in found)
 
     def test_unsortable_labels_reported(self):
         s = make_survey(n=4)
@@ -86,23 +92,23 @@ class TestValidation:
             psu=np.array([1, 2, 3, 4]),
         )
         bad = SurveySample(X=s.X, d=s.d, design=design)
-        report = validate_paired_samples(make_cohort(), bad)
-        assert any("must be mutually sortable" in v for v in report.violations)
+        found = violations(make_cohort(), bad)
+        assert any("must be mutually sortable" in v for v in found)
 
     def test_non_finite_entries_reported(self):
         c = make_cohort()
         y = c.y.copy()
         y[0] = np.nan
         bad = CohortSample(y=y, X=c.X)
-        report = validate_paired_samples(bad, make_survey())
-        assert any("non-finite entries in cohort outcome" in v for v in report.violations)
+        found = violations(bad, make_survey())
+        assert any("non-finite entries in cohort outcome" in v for v in found)
 
     def test_missing_intercept_reported(self):
         rng = np.random.default_rng(3)
         X = rng.normal(size=(3, 3))
         bad = CohortSample(y=np.zeros(3), X=X)
-        report = validate_paired_samples(bad, make_survey())
-        assert any("intercept" in v for v in report.violations)
+        found = violations(bad, make_survey())
+        assert any("intercept" in v for v in found)
 
 
 class TestPooledMatrix:

@@ -503,6 +503,15 @@ class TestReplicateEngine:
         assert repr(run_on_cpus(monkeypatch, cpus, study)) == repr(serial)
         assert pool_sizes == [pool]
 
+    def test_chunks_spanning_two_cells_leave_the_report_unchanged(self, monkeypatch, pool_sizes):
+        # chunks of 5 // 2 = 2 replicates: a cell's last replicate shares
+        # its chunk with the next cell's first
+        monkeypatch.setattr(simulation, "_BLOCKS_PER_CELL", 2)
+        study = small_grid(replicates=5)
+        serial = run_on_cpus(monkeypatch, 1, study)
+        assert repr(run_on_cpus(monkeypatch, 2, study)) == repr(serial)
+        assert pool_sizes == [2]
+
     def test_injected_failure_excludes_the_same_replicates(self, monkeypatch, pool_sizes):
         # keyed on the replicate's content, which a forked worker sees too
         real = estimators.estimate_from_fit

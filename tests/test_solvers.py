@@ -115,6 +115,31 @@ class TestPooledLogistic:
         with pytest.raises(NonConvergenceError):
             fit_pooled_logistic(build_pooled_matrix(cohort, survey))
 
+    def test_iteration_cap_error_carries_the_last_iterate(self, monkeypatch):
+        cohort = CohortSample(y=np.zeros(4), X=GRID_POOLED_XC)
+        survey = SurveySample(X=GRID_POOLED_XP, d=GRID_POOLED_D)
+        path = fit_pooled_logistic(build_pooled_matrix(cohort, survey)).score_norm_path
+        assert len(path) > 3
+        monkeypatch.setattr(solvers, "MAX_ITER", 2)
+        with pytest.raises(NonConvergenceError) as err:
+            fit_pooled_logistic(build_pooled_matrix(cohort, survey))
+        assert err.value.iterations == 2
+        assert err.value.score_norm == path[2] > solvers.TOL
+        s = score_at(FitFlavor.POOLED_MEMBERSHIP, err.value.coefficients, cohort, survey)
+        assert np.abs(s).max() == pytest.approx(err.value.score_norm, rel=1e-9)
+
+
+def test_step_halving_exhaustion_carries_the_attempted_step():
+    # the score falls from 4 to 2 on the first step, then no step lowers it
+    def evaluate(x):
+        return np.array([max(4.0 - x[0], 2.0)]), None
+
+    with pytest.raises(NonConvergenceError) as err:
+        solvers._damped_newton(evaluate, lambda probs: np.eye(1), 1, 4, "test")
+    assert err.value.iterations == 2
+    assert err.value.score_norm == 0.5
+    np.testing.assert_array_equal(err.value.coefficients, [4.0])
+
 
 class TestClwScore:
     def test_intercept_only_closed_form(self):
