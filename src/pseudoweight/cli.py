@@ -223,7 +223,7 @@ def main(argv=None) -> int:
         )
         return 1
     except OSError as exc:
-        # a failed fork of the study's worker pool
+        # a failed fork or pipe: simulate's and estimate's forked workers
         print(json.dumps({"error": "OSError", "message": str(exc)}), file=sys.stderr)
         return 1
 

@@ -15,6 +15,10 @@ class ValidationError(PseudoweightError):
         self.violations = tuple(violations)
         super().__init__("; ".join(self.violations))
 
+    def __reduce__(self):
+        # pickle rebuilds from the violations, not from the joined message
+        return type(self), (self.violations,)
+
 
 class NonConvergenceError(PseudoweightError):
     """A solver failed to drive the estimating equation below tolerance.

@@ -35,6 +35,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -51,7 +52,7 @@ from .samples import (
     validate_paired_samples,
 )
 from .solvers import fit_clw_score, fit_pooled_logistic
-from .variance import fixed_weight_variance, tl_variance
+from .variance import _design_matrix, fixed_weight_variance, tl_variance
 
 Z_95 = 1.96
 
@@ -183,9 +184,11 @@ def estimate_from_fit(
     cohort: CohortSample,
     survey: SurveySample,
     true_participation: np.ndarray | None = None,
+    design_matrix=None,
 ) -> WeightedEstimate:
     """Turn a propensity fit into a weighted estimate with variance (none
-    for naive); ``true_participation`` is read only by tw."""
+    for naive); ``true_participation`` is read only by tw, and
+    ``design_matrix`` is passed on to :func:`tl_variance`."""
     method = spec.method
     warnings: list[str] = []
     p_override_c = p_override_s = None
@@ -212,6 +215,7 @@ def estimate_from_fit(
         # participation scale of the scaled fit, intercept included
         p_override_c = np.exp(cohort.X @ fit.beta)
         p_override_s = np.exp(survey.X @ fit.beta)
+        design_matrix = None  # the fit's is for its own survey probabilities
     elif method is Method.CLW:
         w = clw_weights(fit.beta, cohort.X)
     else:  # pragma: no cover - exhaustive
@@ -222,9 +226,7 @@ def estimate_from_fit(
     if method is Method.TW:
         var = fixed_weight_variance(cohort, pi, mu)
     elif method is not Method.NAIVE:
-        vb = tl_variance(
-            cohort, survey, fit, w, mu, p_cohort=p_override_c, p_survey=p_override_s
-        )
+        vb = tl_variance(cohort, survey, fit, w, mu, p_override_c, p_override_s, design_matrix)
         warnings.extend(vb.warnings)
         var = vb.v_total
     lo, hi = _interval(mu, var)
@@ -244,7 +246,8 @@ def estimate_each(specs, cohort, survey, true_participation=None) -> list:
 
     Each entry of the result is the spec's :class:`WeightedEstimate` or the
     :class:`PseudoweightError` that stopped it.  Specs whose methods have
-    equal :func:`fit_key` share one fit, or that fit's error.
+    equal :func:`fit_key` share one fit, or that fit's error, and the
+    fit's design matrix, built when a method first needs it.
     """
     fits, results = {}, []
     for spec in specs:
@@ -252,12 +255,16 @@ def estimate_each(specs, cohort, survey, true_participation=None) -> list:
             key = fit_key(spec.method, cohort, survey)
             if key not in fits:
                 try:
-                    fits[key] = fit_for_method(spec.method, cohort, survey)
+                    fit = fit_for_method(spec.method, cohort, survey)
                 except PseudoweightError as exc:
-                    fits[key] = exc
-            result = fits[key]
+                    fit = exc
+                design = cache(lambda f=fit: _design_matrix(survey, f.p_hat_survey, f.lam))
+                fits[key] = fit, design
+            result, design = fits[key]
             if not isinstance(result, PseudoweightError):
-                result = estimate_from_fit(spec, result, cohort, survey, true_participation)
+                result = estimate_from_fit(
+                    spec, result, cohort, survey, true_participation, design
+                )
         except PseudoweightError as exc:
             result = exc
         results.append(result)

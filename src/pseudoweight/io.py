@@ -9,12 +9,12 @@ hard :class:`ParseError` naming the file line, and so are a byte that is
 not UTF-8 and a cell over the ``csv`` module's field limit.  A read that
 fails after the file opened is an :class:`IoError`.
 
-A file is read in one ``csv.reader`` pass that keeps only each record's
-declared cells, in one flat list, and its file line.  Every ``_BLOCK``
-records the cells are split into columns, trimmed, rid of rows with a
-blank cell, and each numeric column parsed by ``float`` in one call.
-Parsing block by block, rather than once at the end, keeps the peak
-memory near that of the finished arrays.
+A file is read in blocks of ``_BLOCK`` lines.  A block that ``csv.reader``
+would read as ``str.split`` does is split at its commas in one call; the
+first other block, and the rest of the file, go through one ``csv.reader``
+pass.  Each block's declared cells are split into columns, trimmed, rid of
+rows with a blank cell, and each numeric column parsed by ``float`` in one
+call, which keeps the peak memory near that of the finished arrays.
 
 Reports are emitted deterministically: same results, byte-identical file.
 """
@@ -27,7 +27,7 @@ import math
 import warnings as _warnings
 from contextlib import contextmanager
 from dataclasses import dataclass
-from itertools import chain, compress
+from itertools import chain, compress, islice, repeat
 from operator import itemgetter, not_
 
 import numpy as np
@@ -39,7 +39,7 @@ from .errors import (
     ParseError,
     PseudoweightError,
 )
-from .estimators import Method, MethodSpec, estimate_each, hajek_mean
+from .estimators import Method, MethodSpec, estimate_each, fit_key, hajek_mean
 from .samples import (
     CohortSample,
     DesignInfo,
@@ -47,7 +47,7 @@ from .samples import (
     SurveySample,
     validate_paired_samples,
 )
-from .simulation import SimulationReport
+from .simulation import SimulationReport, _fork_map, _usable_cpus
 
 
 def _fmt(value) -> str:
@@ -76,36 +76,58 @@ def _open(path):
             raise IoError(f"cannot read {path}: {exc}") from exc
 
 
-def _unreadable(path, reader, exc):
-    """The :class:`ParseError` for a record ``reader`` could not produce:
-    a byte that is not UTF-8 (``UnicodeDecodeError``) or a tokenizer
-    ``csv.Error``, named by its file line."""
+def _unreadable(path, line, exc):
+    """The :class:`ParseError` for a record that could not be read: a byte
+    that is not UTF-8 (``UnicodeDecodeError``) or a tokenizer
+    ``csv.Error``, named by its file line; ``line`` counts the lines read."""
     if not isinstance(exc, UnicodeDecodeError):
-        return ParseError(f"{path}: row {reader.line_num}: {exc}")
-    # The file decodes a chunk at a time, and the reader has taken none of
-    # the lines of the failing chunk; count those before the bad byte.
+        return ParseError(f"{path}: row {line}: {exc}")
+    # The file decodes a chunk at a time, and none of the lines of the
+    # failing chunk was read; count those before the bad byte.
     head = exc.object[: exc.start]
-    line = reader.line_num + 1 + head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n")
+    line += 1 + head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n")
     return ParseError(
         f"{path}: row {line}: byte {exc.object[exc.start]:#04x} is not UTF-8 ({exc.reason})"
     )
 
 
-#: Records read between two parses of their cells (see the module docstring).
+def _raising(exc):
+    """An iterator that raises ``exc`` when it is first read."""
+    raise exc
+    yield
+
+
+#: Lines read, or records collected, between two parses of their cells
+#: (see the module docstring).
 _BLOCK = 4096
 
 
-def _parse_block(path, numeric, labels, cells, lines, skipped):
-    """Columns of one block of records: ``cells`` holds each record's
-    declared cells in a row, ``lines`` each record's file line.
+def _split_plain(lines, width):
+    """The cells of ``lines``, line after line, split at every comma; None
+    unless ``csv.reader`` reads them the same: no quote, carriage return or
+    NUL, no empty line, ``width - 1`` commas on every line and no line
+    longer than the ``csv`` field limit."""
+    text = "".join(lines)
+    odd = any(c in text for c in '"\r\0') or "\n" in lines
+    if odd or set(map(str.count, lines, repeat(","))) - {width - 1}:
+        return None
+    if max(map(len, lines), default=0) > csv.field_size_limit():
+        return None
+    return text.replace("\n", ",").split(",")
+
+
+def _parse_block(path, numeric, cells, index, width, lines, skipped):
+    """Columns of one block of records: ``cells`` holds the records' cells
+    in rows of ``width``, the declared ones at ``index``, and ``lines``
+    the records' file lines.
 
     Cells are trimmed; a record with an empty declared cell is dropped and
     its line appended to ``skipped``.  Returns the number of records kept,
     the numeric columns as float arrays and the label columns as lists of
     strings.
     """
-    m = len(numeric) + len(labels)
-    columns = [list(map(str.strip, cells[j::m])) for j in range(m)]
+    end = len(lines) * width
+    columns = [list(map(str.strip, cells[i:end:width])) for i in index]
     blanks = [col for col in columns if "" in col]
     if blanks:
         keep = list(map(all, zip(*blanks)))
@@ -148,7 +170,7 @@ def _read_columns(path, numeric, labels=(), optional=()):
     the chunk of the file holding it are (the file decodes a chunk at a
     time).
     """
-    blocks, skipped, cells, lines = [], [], [], []
+    blocks, skipped, cells, lines, read = [], [], [], [], 0
     with _open(path) as fh:
         reader = csv.reader(fh)
         try:
@@ -163,23 +185,43 @@ def _read_columns(path, numeric, labels=(), optional=()):
                 raise MissingColumnError(
                     f"{path} lacks declared column(s): {', '.join(missing)}"
                 )
-            index = [position[c] for c in names]
-            width = max(index) + 1
-            pick = itemgetter(*index) if len(index) > 1 else lambda row: (row[index[0]],)
+            index, width, m = [position[c] for c in names], len(header), len(names)
+            # Plain blocks of lines are split by str.split; the first block
+            # that is not, and the rest of the file, go through csv.reader.
+            read, tail = reader.line_num, fh
+            while tail is fh:
+                block = []
+                try:
+                    block.extend(islice(fh, _BLOCK))
+                except UnicodeDecodeError as exc:
+                    tail = _raising(exc)  # read after the lines before the bad byte
+                split = _split_plain(block, width)
+                if split is None:
+                    break
+                n, block = len(block), []
+                plain = range(read + 1, read + n + 1)
+                blocks.append(_parse_block(path, numeric, split, index, width, plain, skipped))
+                read += n
+                if n < _BLOCK:
+                    break
+            reader = csv.reader(chain(block, tail))
+            short = max(index) + 1
+            pick = itemgetter(*index) if m > 1 else lambda row: (row[index[0]],)
             for row in reader:
                 if not row:
                     continue
-                if len(row) < width:
-                    row += [""] * (width - len(row))  # a short row's missing cells
+                if len(row) < short:
+                    row += [""] * (short - len(row))  # a short row's missing cells
                 cells.extend(pick(row))
-                lines.append(reader.line_num)
+                lines.append(read + reader.line_num)
                 if len(lines) == _BLOCK:
-                    blocks.append(_parse_block(path, numeric, labels, cells, lines, skipped))
+                    blocks.append(_parse_block(path, numeric, cells, range(m), m, lines, skipped))
                     cells, lines = [], []
         except (csv.Error, UnicodeDecodeError) as exc:
-            _parse_block(path, numeric, labels, cells, lines, skipped)  # may raise first
-            raise _unreadable(path, reader, exc) from exc
-    blocks.append(_parse_block(path, numeric, labels, cells, lines, skipped))
+            if lines:  # checked first, in file order
+                _parse_block(path, numeric, cells, range(m), m, lines, skipped)
+            raise _unreadable(path, read + reader.line_num, exc) from exc
+    blocks.append(_parse_block(path, numeric, cells, range(m), m, lines, skipped))
     n = sum(b[0] for b in blocks)
     if not n and not skipped:
         raise EmptyFileError(f"{path} has a header but no data rows")
@@ -269,6 +311,14 @@ def _weight_summary(w: np.ndarray):
     return {"w_min": float(np.min(w)), "w_max": float(np.max(w)), "w_cv": cv}
 
 
+def _ingest(args):
+    """``ingest_delimited(*args)`` and the messages of its warnings."""
+    with _warnings.catch_warnings(record=True) as caught:
+        _warnings.simplefilter("always")
+        sample = ingest_delimited(*args)
+    return sample, tuple(str(w.message) for w in caught)
+
+
 def run_estimation_job(job: EstimationJob):
     """Ingest both files, run every requested method, and build report rows.
 
@@ -279,29 +329,23 @@ def run_estimation_job(job: EstimationJob):
     error, in method order, is raised.  ``tw`` is rejected before either
     file is read: it needs the known participation rates, which only a
     simulated study has.
+
+    With two or more usable CPUs (on Linux), a forked child reads the
+    cohort while this process reads the survey, and the groups of methods
+    that share a fit are split between this process and forked children.
     """
     methods = tuple(Method(m) for m in job.methods)
     if Method.TW in methods:
         raise PseudoweightError(
             "method 'tw' needs known participation rates and runs only under simulate"
         )
-    with _warnings.catch_warnings(record=True) as caught:
-        _warnings.simplefilter("always")
-        cohort = ingest_delimited(
-            job.cohort_path,
-            covariates=job.covariate_columns,
-            outcome=job.outcome_column,
-        )
-        survey = ingest_delimited(
-            job.survey_path,
-            covariates=job.covariate_columns,
-            outcome=job.outcome_column,
-            weight=job.weight_column,
-            stratum=job.stratum_column,
-            psu=job.psu_column,
-            design=job.design_kind,
-        )
-    ingest_warnings = tuple(str(w.message) for w in caught)
+    columns = job.covariate_columns, job.outcome_column
+    survey_design = job.weight_column, job.stratum_column, job.psu_column, job.design_kind
+    cpus = _usable_cpus()
+    (cohort, cohort_warnings), (survey, survey_warnings) = _fork_map(
+        _ingest, [(job.cohort_path, *columns), (job.survey_path, *columns, *survey_design)], cpus
+    )
+    ingest_warnings = cohort_warnings + survey_warnings
 
     validate_paired_samples(cohort, survey)
 
@@ -310,9 +354,20 @@ def run_estimation_job(job: EstimationJob):
         mu_ref = hajek_mean(survey.y, survey.d)
 
     specs = [MethodSpec(m, truncate_pi_at_one=job.truncate_pi) for m in methods]
+    groups = {}  # spec indices by fit key; a key that raises is a group of its own
+    for i, spec in enumerate(specs):
+        try:
+            groups.setdefault(fit_key(spec.method, cohort, survey), []).append(i)
+        except PseudoweightError:
+            groups[i] = [i]  # fit keys are None or tuples, never ints
+
+    def run(group):
+        return list(zip(group, estimate_each([specs[i] for i in group], cohort, survey)))
+
+    done = dict(chain.from_iterable(_fork_map(run, list(groups.values()), cpus)))
     rows = []
     weight_dump = {}
-    for result in estimate_each(specs, cohort, survey):
+    for result in map(done.get, range(len(specs))):
         if isinstance(result, PseudoweightError):
             raise result
         row = {

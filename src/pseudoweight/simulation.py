@@ -11,10 +11,9 @@ Seed discipline: replicate generators are spawned from the base seed with a
 counter key ``(scenario code, participation-rate key, replicate index)``, so
 any cell or replicate can be reproduced in isolation.  The engine relies on
 that: after the calling process has generated the population and calibrated
-every cell, forked worker processes draw and estimate chunks of replicates
-in whatever order they come free, and the calling process reduces their
-results in replicate order, so the report does not depend on the number of
-workers.
+every cell, forked worker processes each draw and estimate an interleaved
+share of the replicates, and the calling process reduces their results in
+replicate order, so the report does not depend on the number of workers.
 
 Each cell's participation intercept is found by :func:`_brentq`, a port of
 scipy's ``brentq`` that returns the same double, so neither the package nor
@@ -29,6 +28,7 @@ from __future__ import annotations
 import enum
 import math
 import os
+import pickle
 import sys
 from dataclasses import dataclass
 
@@ -453,28 +453,6 @@ def _replicate(study: _Study, cell_index: int, rep: int):
     )
 
 
-#: The study a replicate worker process serves.  Set by
-#: :func:`_start_worker` in each worker as it starts; the calling process
-#: never sets it.
-_worker_study = None
-
-
-def _start_worker(study: _Study):
-    global _worker_study
-    _worker_study = study
-
-
-def _worker_replicate(unit):
-    return _replicate(_worker_study, *unit)
-
-
-#: A cell's replicates are handed out in about this many chunks: small
-#: chunks even out the workers' loads at the end of a study, while a
-#: chunk's dispatch (a fraction of a millisecond) stays small against its
-#: replicates' work (5-17 ms each on the desk population).
-_BLOCKS_PER_CELL = 64
-
-
 #: cgroup v2 CPU quota, ``max`` or ``QUOTA PERIOD`` in microseconds; inside
 #: a container this is the container's own cgroup.
 _CPU_MAX = "/sys/fs/cgroup/cpu.max"
@@ -495,7 +473,7 @@ def _cpu_quota() -> float:
 
 def _usable_cpus() -> int:
     """CPUs this process may run on: its affinity mask, capped by the
-    cgroup CPU quota.  The pool is verified on Linux only, so other
+    cgroup CPU quota.  Forked workers are verified on Linux only, so other
     platforms (which lack ``os.sched_getaffinity``) count one and run
     serially."""
     if not hasattr(os, "sched_getaffinity"):
@@ -503,36 +481,90 @@ def _usable_cpus() -> int:
     return min(len(os.sched_getaffinity(0)), _cpu_quota())
 
 
+def _outcome(fn, *args):
+    """``(True, fn(*args))``, or ``(False, exc)`` when it raises ``exc``."""
+    try:
+        return True, fn(*args)
+    except Exception as exc:
+        return False, exc
+
+
+def _fork(fn, *args):
+    """Start ``fn(*args)`` in a forked child and return the function that
+    waits for it.  The wait reaps the child and returns what ``fn``
+    returned, or raises what it raised, pickled back through a pipe; a
+    child that ends without a result raises :class:`ChildProcessError`
+    naming its exit status.  Forked, not spawned: a spawned child would
+    import numpy and ``scipy.special`` again, which takes longer than an
+    ``estimate`` call."""
+    read_end, write_end = os.pipe()
+    pid = os.fork()
+    if not pid:
+        try:
+            os.close(read_end)
+            with os.fdopen(write_end, "wb") as pipe:
+                pickle.dump(_outcome(fn, *args), pipe, pickle.HIGHEST_PROTOCOL)
+            os._exit(0)
+        finally:
+            os._exit(1)
+    os.close(write_end)
+
+    def wait():
+        try:
+            with os.fdopen(read_end, "rb") as pipe:
+                data = pipe.read()
+        finally:
+            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+        if status or not data:
+            raise ChildProcessError(f"a forked worker ended with exit status {status}")
+        ok, value = pickle.loads(data)
+        if not ok:
+            raise value
+        return value
+
+    return wait
+
+
+def _fork_map(fn, items, workers, here=True):
+    """``[fn(item) for item in items]`` in up to ``workers`` shares: share
+    k is ``items[k::workers]`` and runs in a forked child (:func:`_fork`),
+    except the last, which this process runs when ``here`` or when it is
+    the only share.  Every child is reaped before an error is raised, the
+    first in share order."""
+    workers = max(1, min(workers, len(items)))
+    shares = [items[k::workers] for k in range(workers)]
+    here = here or workers == 1
+    waits, outcomes = [], []
+
+    def run(share):
+        return [fn(item) for item in share]
+
+    try:
+        for share in shares[:-1] if here else shares:
+            waits.append(_fork(run, share))
+        outcomes = [_outcome(run, shares[-1])] if here else []
+    finally:
+        outcomes = [_outcome(wait) for wait in waits] + outcomes
+    results = [None] * len(items)
+    for k, (ok, value) in enumerate(outcomes):
+        if not ok:
+            raise value
+        results[k::workers] = value
+    return results
+
+
 def _run_replicates(study: _Study, replicates: int):
     """Every cell's replicate outcomes, in replicate order.
 
     One worker per usable CPU, capped at the number of (cell, replicate)
-    units.  One worker runs the units in this process.  More run them in
-    chunks in a pool of forked processes, which inherit the calibrated
-    study instead of receiving it with every chunk; ``map`` yields the
-    results in submission order, so the reduction sees the same lists
-    whatever the worker count.
+    units.  More than one each run an interleaved share of the units in a
+    forked child, which inherits the calibrated study, while this process
+    only waits; the results come back in unit order, so the reduction sees
+    the same lists whatever the worker count.
     """
     n_cells = len(study.cells)
     units = [(c, rep) for c in range(n_cells) for rep in range(replicates)]
-    workers = min(_usable_cpus(), len(units))
-    if workers <= 1:
-        done = [_replicate(study, *unit) for unit in units]
-    else:
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-
-        # Forked, not spawned: a spawned worker would import the package
-        # afresh and receive the population by pickle, and that fixed cost
-        # per call is what bounds the gain on short studies.
-        with ProcessPoolExecutor(
-            workers,
-            mp_context=multiprocessing.get_context("fork"),
-            initializer=_start_worker,
-            initargs=(study,),
-        ) as pool:
-            chunksize = max(1, replicates // _BLOCKS_PER_CELL)
-            done = list(pool.map(_worker_replicate, units, chunksize=chunksize))
+    done = _fork_map(lambda unit: _replicate(study, *unit), units, _usable_cpus(), here=False)
     return [done[c * replicates : (c + 1) * replicates] for c in range(n_cells)]
 
 

@@ -210,6 +210,7 @@ def tl_variance(
     mu_hat: float,
     p_cohort: np.ndarray | None = None,
     p_survey: np.ndarray | None = None,
+    design_matrix=None,
 ) -> VarianceBreakdown:
     """Assemble the linearized variance for a pseudo-weighted mean.
 
@@ -218,6 +219,8 @@ def tl_variance(
     substitutes (its probability scale differs from the fitted membership
     probabilities).  The design matrix is chosen by the survey's design
     metadata and uses the fit's survey-weight multiplier throughout.
+    ``design_matrix``, a function that returns that matrix, lets methods
+    sharing a fit build it once.
 
     A negative cohort component is reported with a warning rather than
     raised: it is a known small-sample behaviour of the membership-form
@@ -234,7 +237,7 @@ def tl_variance(
     b_hat = compute_b_hat(cohort, a, u, mu_hat)
     v_cohort = variance_cohort_component(cohort, p_c, factor, weights, mu_hat, b_hat)
 
-    D = _design_matrix(survey, p_s, fit.lam)
+    D = design_matrix() if design_matrix else _design_matrix(survey, p_s, fit.lam)
     v_design = float(b_hat @ D @ b_hat)
 
     return VarianceBreakdown(

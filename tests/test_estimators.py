@@ -282,3 +282,24 @@ class TestEstimateEach:
         assert (alp.mu_hat, alp.var_hat) == (ref.mu_hat, ref.var_hat)
         assert naive.mu_hat == float(np.mean(cohort.y))
 
+
+    def test_methods_sharing_a_fit_build_its_design_matrix_once(self, monkeypatch):
+        # alp and fdw share the unscaled fit and its survey probabilities;
+        # alps scales the fit and substitutes its own, so it builds its own
+        from pseudoweight import variance
+
+        cohort, survey = synthetic_pair()
+        methods = (Method.ALP, Method.FDW, Method.ALPS, Method.NAIVE)
+        alone = [estimate(m, cohort, survey) for m in methods]
+        built = []
+        real = variance.design_variance_poisson
+
+        def counted(survey, p_hat_survey, weight_multiplier=1.0):
+            built.append(weight_multiplier)
+            return real(survey, p_hat_survey, weight_multiplier)
+
+        monkeypatch.setattr(variance, "design_variance_poisson", counted)
+        together = estimate_each([MethodSpec(m) for m in methods], cohort, survey)
+        assert built == [1.0, cohort.n_c / float(np.sum(survey.d))]
+        for a, b in zip(alone, together):
+            assert repr(a) == repr(b)

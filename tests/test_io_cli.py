@@ -327,6 +327,8 @@ class TestEstimationJob:
 
     def test_six_methods_fit_three_times_and_validate_once(self, tmp_path, monkeypatch):
         # alp and fdw share the unscaled pooled fit; rdw and alps each scale it
+        # (counted in this process, so every method must run here)
+        monkeypatch.setattr(io, "_usable_cpus", lambda: 1)
         (cohort_path, survey_path), _ = random_pair_files(tmp_path)
         calls = {"fit": 0, "validate": 0}
 
@@ -359,6 +361,7 @@ class TestEstimationJob:
         assert calls == {"fit": 3, "validate": 1}
 
     def test_survey_file_opened_once(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(io, "_usable_cpus", lambda: 1)  # both files read here
         cohort_path, survey_path, _ = self_paired_files(tmp_path, n=25)
         opened = []
 
@@ -435,6 +438,136 @@ class TestEstimationJob:
         assert row["w_min"] == pytest.approx(1.0, abs=1e-6)
         assert row["w_max"] == pytest.approx(1.0, abs=1e-6)
         assert row["w_cv"] == pytest.approx(0.0, abs=1e-6)
+
+
+ALL_METHODS = tuple(m for m in Method if m is not Method.TW)
+
+
+def with_blank_cell(path, line):
+    """Blank the first cell of a file line, so ingest skips and reports it."""
+    lines = Path(path).read_text(encoding="utf-8").splitlines(keepends=True)
+    lines[line - 1] = "," + lines[line - 1].split(",", 1)[1]
+    Path(path).write_text("".join(lines), encoding="utf-8")
+    return path
+
+
+def broken(path, line=3):
+    """Put text in a numeric cell, a ParseError naming the file line."""
+    lines = Path(path).read_text(encoding="utf-8").splitlines(keepends=True)
+    lines[line - 1] = "abc," + lines[line - 1].split(",", 1)[1]
+    Path(path).write_text("".join(lines), encoding="utf-8")
+    return path
+
+
+def job_cases():
+    """Named builders of estimation jobs on the test files above: every
+    method, skip notices in both files, errors in a method's key, in
+    validation and in either file or both."""
+
+    def random_pair(tmp_path, **kwargs):
+        (cohort, survey), _ = random_pair_files(tmp_path)
+        return dict(cohort_path=cohort, survey_path=survey, covariate_columns=("x1",)) | kwargs
+
+    def self_paired(tmp_path, **kwargs):
+        cohort, survey, _ = self_paired_files(tmp_path)
+        paths = dict(cohort_path=cohort, survey_path=survey)
+        return paths | dict(covariate_columns=("x1", "x2")) | kwargs
+
+    def stratified(tmp_path, **kwargs):
+        cohort, survey = stratified_pair_files(tmp_path)
+        return (
+            dict(cohort_path=cohort, survey_path=survey, covariate_columns=("x1",))
+            | dict(stratum_column="stratum", psu_column="psu")
+            | dict(design_kind=DesignKind.STRATIFIED_WR)
+            | kwargs
+        )
+
+    def skipped_rows(tmp_path):
+        job = random_pair(tmp_path)
+        with_blank_cell(job["cohort_path"], 4)
+        with_blank_cell(job["survey_path"], 7)
+        return job
+
+    def bad(which):
+        def build(tmp_path):
+            job = random_pair(tmp_path)
+            for name in which:
+                broken(job[name])
+            return job
+
+        return build
+
+    return {
+        "random-pair": lambda tmp_path: random_pair(tmp_path),
+        "skipped-rows": skipped_rows,
+        "survey-outcome": lambda tmp_path: self_paired(tmp_path, methods=ALL_METHODS[:4]),
+        "stratified": lambda tmp_path: stratified(tmp_path),
+        "iid": lambda tmp_path: random_pair(tmp_path, design_kind=DesignKind.IID),
+        # every survey weight is 1, so rdw's key and clw's fit raise
+        "key-raises": lambda tmp_path: self_paired(
+            tmp_path, methods=(Method.ALP, Method.CLW, Method.RDW)
+        ),
+        # each stratum is its own single PSU: validation fails
+        "one-psu-stratum": lambda tmp_path: stratified(tmp_path, psu_column="stratum"),
+        "bad-cohort": bad(["cohort_path"]),
+        "bad-survey": bad(["survey_path"]),
+        "both-bad": bad(["cohort_path", "survey_path"]),
+    }
+
+
+def job_outcome(monkeypatch, cpus, job):
+    """The rows of ``job`` at ``cpus`` usable CPUs, or its error's class and
+    message."""
+    monkeypatch.setattr(io, "_usable_cpus", lambda: cpus)
+    try:
+        return repr(run_estimation_job(job))
+    except PseudoweightError as exc:
+        return type(exc).__name__, str(exc)
+
+
+class TestConcurrentJob:
+    @pytest.mark.parametrize("case", list(job_cases()))
+    def test_same_rows_warnings_and_error_on_one_cpu_and_two(
+        self, tmp_path, monkeypatch, no_child_left, case
+    ):
+        fields = dict(outcome_column="y", weight_column="w", methods=ALL_METHODS)
+        fields.update(job_cases()[case](tmp_path))
+        job = EstimationJob(**fields)
+        one = job_outcome(monkeypatch, 1, job)
+        assert job_outcome(monkeypatch, 2, job) == one
+        assert job_outcome(monkeypatch, 3, job) == one
+        if case == "skipped-rows":  # the cohort's notice, then the survey's
+            notices = "c.csv: skipped 1 row(s) with missing declared fields (rows 4); "
+            assert notices + f"{job.survey_path}: skipped 1 row(s)" in one
+        bad = {"bad-cohort": (job.cohort_path, "y"), "both-bad": (job.cohort_path, "y")}
+        bad["bad-survey"] = (job.survey_path, "x1")
+        if case in bad:
+            path, column = bad[case]
+            message = f"{path}: row 3, column {column!r}: cannot parse 'abc' as a number"
+            assert one == ("ParseError", message)
+        if case == "key-raises":
+            assert one[0] == "InfeasibleTotalsError"  # clw comes before rdw
+
+    def test_error_in_a_fit_group_child_is_raised_after_it_ends(
+        self, tmp_path, monkeypatch, no_child_left
+    ):
+        (cohort_path, survey_path), _ = random_pair_files(tmp_path)
+        real = estimators.fit_for_method
+
+        def failing_for_clw(method, *args):
+            if method is Method.CLW:
+                raise RuntimeError(f"injected in process {os.getpid()}")
+            return real(method, *args)
+
+        monkeypatch.setattr(estimators, "fit_for_method", failing_for_clw)
+        monkeypatch.setattr(io, "_usable_cpus", lambda: 2)
+        # two fit groups, clw's first: it runs in the forked child
+        job = EstimationJob(
+            cohort_path, survey_path, "y", ("x1",), "w", methods=(Method.CLW, Method.ALP)
+        )
+        with pytest.raises(RuntimeError, match="injected in process") as info:
+            run_estimation_job(job)
+        assert str(os.getpid()) not in str(info.value)
 
 
 # Run in a fresh interpreter by the cold-start test: whether the package

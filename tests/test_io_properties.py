@@ -226,6 +226,11 @@ TEXT = st.one_of(
 NAMES = ["a", "b", "c", "d"]
 
 
+# what a plain file holds: cells without quotes, commas or line breaks
+PLAIN_BLANKS = st.sampled_from(["", " ", "\t"])
+PLAIN_TEXT = st.one_of(st.sampled_from(["NA", "abc"]), st.text(alphabet=" 1.e-ab", max_size=5))
+
+
 @st.composite
 def delimited_files(draw):
     """A file's header and rows as written, the columns declared to read
@@ -234,8 +239,12 @@ def delimited_files(draw):
     The header may repeat a name and carry columns nobody declares; a
     declared name is now and then absent.  Rows may be blank, short or
     long; a numeric column's cells are mostly numbers, with some blank and,
-    in some files, many text cells.
+    in some files, many text cells.  Half the files are *plain*: ``\n``
+    line ends, no blank line, no quote, and mostly rows of the header's
+    width, so blocks of lines split by ``str.split`` alternate with ones
+    that go through ``csv.reader``; some of them lack the last line break.
     """
+    plain = draw(st.booleans())
     header = draw(st.lists(st.sampled_from(NAMES), min_size=1, max_size=5))
     declared = draw(st.lists(st.sampled_from(header), min_size=1, max_size=4))
     if draw(st.integers(0, 9)) == 0:
@@ -247,24 +256,25 @@ def delimited_files(draw):
     def cell(name):
         roll = draw(st.integers(0, 19))
         if roll < 3:
-            return draw(BLANKS)
+            return draw(PLAIN_BLANKS if plain else BLANKS)
         if roll < 3 + text or (name not in numeric and roll < 12):
-            return draw(TEXT)
+            return draw(PLAIN_TEXT if plain else TEXT)
         return draw(NUMBERS)
 
     rows = []
     for _ in range(draw(st.integers(0, 12))):
-        if draw(st.integers(0, 5)) == 0:
+        if not plain and draw(st.integers(0, 5)) == 0:
             rows.append(None)  # a blank line
             continue
-        width = max(1, len(header) + draw(st.sampled_from([0, 0, 0, 0, -1, -2, 1])))
+        widths = [0] * (12 if plain else 4) + [-1, -2, 1]
+        width = max(1, len(header) + draw(st.sampled_from(widths)))
         rows.append([cell(header[j] if j < len(header) else "") for j in range(width)])
     header = [draw(st.sampled_from(["", " "])) + h for h in header]
     options = dict(
-        quoting=draw(st.sampled_from([csv.QUOTE_MINIMAL, csv.QUOTE_ALL])),
-        lineterminator=draw(st.sampled_from(["\n", "\r\n"])),
+        quoting=draw(st.sampled_from([csv.QUOTE_MINIMAL] + [csv.QUOTE_ALL] * (not plain))),
+        lineterminator="\n" if plain else draw(st.sampled_from(["\n", "\r\n"])),
     )
-    return header, rows, numeric, labels, options
+    return header, rows, numeric, labels, options, plain and draw(st.booleans())
 
 
 def read_both(path, numeric, labels, reader):
@@ -282,7 +292,7 @@ def read_both(path, numeric, labels, reader):
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(case=delimited_files())
 def test_columnar_reader_matches_the_row_reader(block, case):
-    header, rows, numeric, labels, options = case
+    header, rows, numeric, labels, options, no_last_break = case
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "file.csv")
         with open(path, "w", newline="", encoding="utf-8") as fh:
@@ -293,6 +303,9 @@ def test_columnar_reader_matches_the_row_reader(block, case):
                     fh.write(options["lineterminator"])
                 else:
                     writer.writerow(row)
+        if no_last_break:
+            with open(path, "r+b") as fh:
+                fh.truncate(os.path.getsize(path) - 1)
         expected, expected_notices = read_both(path, numeric, labels, reference_read_columns)
         with mock.patch.object(io, "_BLOCK", block):
             got, notices = read_both(path, numeric, labels, io._read_columns)

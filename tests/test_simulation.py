@@ -1,5 +1,6 @@
 import functools
 import math
+import os
 
 import numpy as np
 import pytest
@@ -461,20 +462,17 @@ def small_grid(**overrides):
 
 
 @pytest.fixture
-def pool_sizes(monkeypatch):
-    """The worker count of every process pool the engine starts."""
-    import concurrent.futures
+def forks(monkeypatch):
+    """One entry for every child the engine forks."""
+    started = []
+    real = simulation._fork
 
-    sizes = []
-    real = concurrent.futures.ProcessPoolExecutor
+    def recording(*args):
+        started.append(args)
+        return real(*args)
 
-    class Recording(real):
-        def __init__(self, max_workers=None, *args, **kwargs):
-            sizes.append(max_workers)
-            super().__init__(max_workers, *args, **kwargs)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recording)
-    return sizes
+    monkeypatch.setattr(simulation, "_fork", recording)
+    return started
 
 
 def run_on_cpus(monkeypatch, cpus, study):
@@ -484,7 +482,7 @@ def run_on_cpus(monkeypatch, cpus, study):
 
 class TestReplicateEngine:
     @pytest.mark.parametrize(
-        "cpus, overrides, pool",
+        "cpus, overrides, children",
         [
             (2, {}, 2),
             (3, {}, 3),
@@ -495,24 +493,18 @@ class TestReplicateEngine:
         ids=["2-workers", "3-workers", "8-workers", "more-cpus-than-units"],
     )
     def test_report_is_identical_for_any_worker_count(
-        self, monkeypatch, pool_sizes, cpus, overrides, pool
+        self, monkeypatch, forks, no_child_left, cpus, overrides, children
     ):
         study = small_grid(**overrides)
         serial = run_on_cpus(monkeypatch, 1, study)
-        assert pool_sizes == []
+        assert forks == []
         assert repr(run_on_cpus(monkeypatch, cpus, study)) == repr(serial)
-        assert pool_sizes == [pool]
+        # the calling process only waits: every share runs in a child
+        assert len(forks) == children
 
-    def test_chunks_spanning_two_cells_leave_the_report_unchanged(self, monkeypatch, pool_sizes):
-        # chunks of 5 // 2 = 2 replicates: a cell's last replicate shares
-        # its chunk with the next cell's first
-        monkeypatch.setattr(simulation, "_BLOCKS_PER_CELL", 2)
-        study = small_grid(replicates=5)
-        serial = run_on_cpus(monkeypatch, 1, study)
-        assert repr(run_on_cpus(monkeypatch, 2, study)) == repr(serial)
-        assert pool_sizes == [2]
-
-    def test_injected_failure_excludes_the_same_replicates(self, monkeypatch, pool_sizes):
+    def test_injected_failure_excludes_the_same_replicates(
+        self, monkeypatch, forks, no_child_left
+    ):
         # keyed on the replicate's content, which a forked worker sees too
         real = estimators.estimate_from_fit
 
@@ -526,13 +518,50 @@ class TestReplicateEngine:
         serial = run_on_cpus(monkeypatch, 1, study)
         parallel = run_on_cpus(monkeypatch, 2, study)
 
-        assert pool_sizes == [2]
+        assert len(forks) == 2
         assert repr(parallel) == repr(serial)
         excluded = {c.method: 0 for c in serial.cells}
         for cell in serial.cells:
             excluded[cell.method] += cell.n_excluded
         assert excluded.pop("fdw") > 0
         assert set(excluded.values()) == {0}
+
+    def test_error_in_a_worker_is_raised_after_every_child_ends(
+        self, monkeypatch, forks, no_child_left
+    ):
+        # an error that is not a package error stops the study, as it would
+        # in one process; the worker's exception comes back pickled
+        def broken(study, cell_index, rep):
+            raise RuntimeError(f"injected in process {os.getpid()}")
+
+        monkeypatch.setattr(simulation, "_replicate", broken)
+        with pytest.raises(RuntimeError, match="injected in process") as info:
+            run_on_cpus(monkeypatch, 2, small_grid())
+        assert len(forks) == 2
+        assert str(os.getpid()) not in str(info.value)
+
+    def test_child_that_exits_without_a_result_raises(self, no_child_left):
+        parent = os.getpid()
+
+        def exit_in_a_child(item):
+            if os.getpid() != parent:
+                os._exit(3)
+            return item
+
+        wait = simulation._fork(exit_in_a_child, 1)
+        with pytest.raises(ChildProcessError, match="exit status 3"):
+            wait()
+        # the same through the share runner, with a share in this process
+        with pytest.raises(ChildProcessError, match="exit status 3"):
+            simulation._fork_map(exit_in_a_child, [1, 2, 3], 2)
+
+    def test_fork_map_keeps_item_order(self, no_child_left):
+        items = list(range(11))
+        for workers in (1, 2, 3, 20):
+            for here in (True, False):
+                got = simulation._fork_map(lambda i: (i, i * i), items, workers, here)
+                assert got == [(i, i * i) for i in items]
+        assert simulation._fork_map(abs, [], 4) == []
 
     def test_uncalibratable_cell_raises_before_any_replicate(self, monkeypatch):
         def no_replicate(*args):
