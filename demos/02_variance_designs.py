@@ -15,6 +15,9 @@ from pseudoweight import (
     DesignKind,
     Method,
     SurveySample,
+    design_variance_iid,
+    design_variance_poisson,
+    design_variance_stratified,
     fit_for_method,
     hajek_mean,
     tl_variance,
@@ -41,22 +44,32 @@ for h in range(6):
 Xp = np.array(rows_X)
 d = np.array(rows_d)
 
+# each declaration with the function that builds its design matrix D
 designs = {
-    "poisson": DesignInfo(kind=DesignKind.POISSON),
-    "stratified": DesignInfo(
-        kind=DesignKind.STRATIFIED_WR, stratum=np.array(strata), psu=np.array(psus)
+    "poisson": (DesignInfo(kind=DesignKind.POISSON), design_variance_poisson),
+    "stratified": (
+        DesignInfo(
+            kind=DesignKind.STRATIFIED_WR, stratum=np.array(strata), psu=np.array(psus)
+        ),
+        design_variance_stratified,
     ),
-    "iid": DesignInfo(kind=DesignKind.IID),
+    "iid": (DesignInfo(kind=DesignKind.IID), design_variance_iid),
 }
 
 print(f"{'design':12s} {'estimate':>9s} {'v_cohort':>10s} {'v_design':>10s} {'v_total':>10s}")
 print("-" * 55)
-for name, design in designs.items():
+for name, (design, design_variance) in designs.items():
     survey = SurveySample(X=Xp, d=d, design=design)
     fit = fit_for_method(Method.ALP, cohort, survey)
-    w = (1 - fit.p_hat_cohort) / fit.p_hat_cohort
+    p = fit.p_hat_cohort
+    w = (1 - p) / p
     mu = hajek_mean(cohort.y, w)
-    vb = tl_variance(cohort, survey, fit, w, mu)
+    # alp's membership-form arrays (a, u, q, factor) do not depend on the
+    # design; only D, built on the fitted survey probabilities, does
+    vb = tl_variance(
+        cohort, w, mu, w * p, w, p, (1 - p) * (1 - 2 * p),
+        lambda: design_variance(survey, fit.p_hat_survey),
+    )
     print(
         f"{name:12s} {mu:9.4f} {vb.v_cohort:10.6f} {vb.v_design:10.6f} {vb.v_total:10.6f}"
     )

@@ -15,11 +15,14 @@ script runs, each in its own process:
   ``stratified`` and ``iid`` designs, on both surveys, writing a CSV and a
   JSON report, each with ``--dump-weights``;
 * ``pseudoweight simulate --replicates 40 --seed 1``;
-* this checkout's three ``demos/`` scripts, keeping their standard output.
+* the tree's own ``demos/`` scripts (the directory beside its ``src``),
+  keeping their standard output, so a demo that follows an API change is
+  compared by what it prints.
 
 Each command's exit code and standard error are kept as outputs too.  The
-script prints the number of identical outputs and exits 0, or lists the
-outputs that differ, keeps them for inspection and exits 1.
+script prints the line totals of both trees' ``pseudoweight`` package and
+their difference, then the number of identical outputs and exits 0, or
+lists the outputs that differ, keeps them for inspection and exits 1.
 """
 
 import argparse
@@ -88,17 +91,24 @@ def commands(pairs):
     out.append(("simulate", cli + [
         "simulate", "--replicates", "40", "--seed", "1", "--out", "simulate.csv",
     ]))
-    for demo in sorted((ROOT / "demos").glob("*.py")):
-        out.append((demo.stem, [sys.executable, str(demo)]))
     return out
 
 
+def package_lines(src):
+    """Lines in the ``.py`` files of the tree's ``pseudoweight`` package."""
+    files = (Path(src) / "pseudoweight").rglob("*.py")
+    return sum(len(f.read_bytes().splitlines()) for f in files)
+
+
 def run_tree(src, runs, directory):
-    """Run every command with ``src`` first on the import path, keeping
-    each one's standard output, standard error and exit code."""
+    """Run every command, then the tree's own demos, with ``src`` first on
+    the import path, keeping each one's standard output, standard error and
+    exit code."""
     directory.mkdir()
-    env = dict(os.environ, PYTHONPATH=str(Path(src).resolve()))
-    for name, argv in runs:
+    src = Path(src).resolve()
+    env = dict(os.environ, PYTHONPATH=str(src))
+    demos = sorted((src.parent / "demos").glob("*.py"))
+    for name, argv in runs + [(demo.stem, [sys.executable, str(demo)]) for demo in demos]:
         proc = subprocess.run(argv, cwd=directory, env=env, capture_output=True)
         (directory / f"{name}.stdout").write_bytes(proc.stdout)
         (directory / f"{name}.status").write_bytes(
@@ -119,6 +129,8 @@ def main(argv=None):
     parent, change = work / "parent", work / "change"
     run_tree(args.parent_src, runs, parent)
     run_tree(args.change_src, runs, change)
+    lines = package_lines(args.parent_src), package_lines(args.change_src)
+    print(f"pseudoweight lines: parent {lines[0]}, change {lines[1]} ({lines[1] - lines[0]:+d})")
 
     names = sorted({p.name for p in parent.iterdir()} | {p.name for p in change.iterdir()})
     differ = [

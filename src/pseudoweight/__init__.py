@@ -82,7 +82,6 @@ from .variance import (
     design_variance_iid,
     design_variance_poisson,
     design_variance_stratified,
-    fixed_weight_variance,
     tl_variance,
     variance_cohort_component,
 )

@@ -28,6 +28,9 @@ The catalogue:
 
 All weighted means are ratio (Hajek) estimators, invariant to rescaling the
 weight vector.
+
+Each method's weights, variance arrays and design matrix are defined once,
+in :func:`method_terms`.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, partial
 
 import numpy as np
 
@@ -52,7 +55,7 @@ from .samples import (
     validate_paired_samples,
 )
 from .solvers import fit_clw_score, fit_pooled_logistic
-from .variance import _design_matrix, fixed_weight_variance, tl_variance
+from .variance import _design_matrix, tl_variance
 
 Z_95 = 1.96
 
@@ -178,6 +181,57 @@ def _interval(mu: float, var: float | None):
     return mu - half, mu + half
 
 
+def method_terms(
+    spec: MethodSpec,
+    fit: PropensityFit | None,
+    cohort: CohortSample,
+    survey: SurveySample,
+    true_participation: np.ndarray | None = None,
+    design_matrix=None,
+):
+    """The table of methods: a method's weights, the per-unit arrays
+    ``(a, u, q, factor)`` its :func:`tl_variance` reads (None for naive,
+    which has no variance), the function building its design matrix (None
+    for tw, whose weights are fixed) and its warnings.  ``design_matrix``
+    builds the fit's own, on its survey probabilities; a new one is made by
+    default.  The membership arrays carry the pseudo-weights, so cohort sums
+    that stand in for population totals are inverse-participation weighted.
+    """
+    method = spec.method
+    if method is Method.NAIVE:
+        return np.ones(cohort.n_c), None, None, ()
+    if method is Method.TW:
+        if true_participation is None:
+            raise ValueError("the true-weight method needs the participation probabilities")
+        pi = np.asarray(true_participation, dtype=float)
+        if not np.all((pi > 0) & (pi <= 1)):
+            raise DomainError("true participation probabilities must lie in (0, 1]")
+        return 1.0 / pi, (None, None, pi, 1.0 - pi), None, ()
+    if design_matrix is None:
+        design_matrix = partial(_design_matrix, survey, fit.p_hat_survey, fit.lam)
+    p, warnings = fit.p_hat_cohort, ()
+    if method is Method.CLW:
+        arrays = 1.0 - p, (1.0 - p) / p, p, 1.0 - p
+        return clw_weights(fit.beta, cohort.X), arrays, design_matrix, warnings
+    if method is Method.ALP:
+        n_above = int(np.sum(p > 0.5))
+        if n_above:
+            warnings = (f"pi-hat-above-one: {n_above}",)
+        w = alp_weights(p, spec.truncate_pi_at_one)
+    elif method in (Method.FDW, Method.RDW):
+        w = fdw_weights(p)
+        warnings = ("variance-approximation: membership-form plug-in reused",)
+    elif method is Method.ALPS:
+        w = alps_weights(fit.beta, cohort.X)
+        # the substitution rule evaluates the variance formulas on the
+        # participation scale of the scaled fit, intercept included
+        p = np.exp(cohort.X @ fit.beta)
+        design_matrix = partial(_design_matrix, survey, np.exp(survey.X @ fit.beta), fit.lam)
+    else:  # pragma: no cover - exhaustive
+        raise ValueError(f"unknown method {method!r}")
+    return w, (w * p, w, p, (1.0 - p) * (1.0 - 2.0 * p)), design_matrix, warnings
+
+
 def estimate_from_fit(
     spec: MethodSpec,
     fit: PropensityFit | None,
@@ -187,57 +241,26 @@ def estimate_from_fit(
     design_matrix=None,
 ) -> WeightedEstimate:
     """Turn a propensity fit into a weighted estimate with variance (none
-    for naive); ``true_participation`` is read only by tw, and
-    ``design_matrix`` is passed on to :func:`tl_variance`."""
-    method = spec.method
-    warnings: list[str] = []
-    p_override_c = p_override_s = None
-    if method is Method.NAIVE:
-        w = np.ones(cohort.n_c)
-    elif method is Method.TW:
-        if true_participation is None:
-            raise ValueError("the true-weight method needs the participation probabilities")
-        pi = np.asarray(true_participation, dtype=float)
-        if not np.all((pi > 0) & (pi <= 1)):
-            raise DomainError("true participation probabilities must lie in (0, 1]")
-        w = 1.0 / pi
-    elif method is Method.ALP:
-        n_above = int(np.sum(fit.p_hat_cohort > 0.5))
-        if n_above:
-            warnings.append(f"pi-hat-above-one: {n_above}")
-        w = alp_weights(fit.p_hat_cohort, spec.truncate_pi_at_one)
-    elif method in (Method.FDW, Method.RDW):
-        w = fdw_weights(fit.p_hat_cohort)
-        warnings.append("variance-approximation: membership-form plug-in reused")
-    elif method is Method.ALPS:
-        w = alps_weights(fit.beta, cohort.X)
-        # the substitution rule evaluates the variance formulas on the
-        # participation scale of the scaled fit, intercept included
-        p_override_c = np.exp(cohort.X @ fit.beta)
-        p_override_s = np.exp(survey.X @ fit.beta)
-        design_matrix = None  # the fit's is for its own survey probabilities
-    elif method is Method.CLW:
-        w = clw_weights(fit.beta, cohort.X)
-    else:  # pragma: no cover - exhaustive
-        raise ValueError(f"unknown method {method!r}")
-
+    for naive): the method's :func:`method_terms`, which reads
+    ``true_participation`` and ``design_matrix``, through :func:`tl_variance`."""
+    w, arrays, design, warnings = method_terms(
+        spec, fit, cohort, survey, true_participation, design_matrix
+    )
     mu = hajek_mean(cohort.y, w)
     var = None
-    if method is Method.TW:
-        var = fixed_weight_variance(cohort, pi, mu)
-    elif method is not Method.NAIVE:
-        vb = tl_variance(cohort, survey, fit, w, mu, p_override_c, p_override_s, design_matrix)
-        warnings.extend(vb.warnings)
+    if arrays is not None:
+        vb = tl_variance(cohort, w, mu, *arrays, design)
+        warnings += vb.warnings
         var = vb.v_total
     lo, hi = _interval(mu, var)
     return WeightedEstimate(
-        method=method.value,
+        method=spec.method.value,
         mu_hat=mu,
         weights=w,
         var_hat=var,
         ci_low=lo,
         ci_high=hi,
-        warnings=tuple(warnings),
+        warnings=warnings,
     )
 
 

@@ -47,7 +47,7 @@ from .samples import (
     SurveySample,
     validate_paired_samples,
 )
-from .simulation import SimulationReport, _fork_map, _usable_cpus
+from .parallel import _fork_map, _usable_cpus
 
 
 def _fmt(value) -> str:
@@ -328,7 +328,8 @@ def run_estimation_job(job: EstimationJob):
     pipeline surface in the row's ``warnings`` field.  The first package
     error, in method order, is raised.  ``tw`` is rejected before either
     file is read: it needs the known participation rates, which only a
-    simulated study has.
+    simulated study has.  So is a method named twice, which would write
+    two report rows and two weight columns for it.
 
     With two or more usable CPUs (on Linux), a forked child reads the
     cohort while this process reads the survey, and the groups of methods
@@ -339,6 +340,9 @@ def run_estimation_job(job: EstimationJob):
         raise PseudoweightError(
             "method 'tw' needs known participation rates and runs only under simulate"
         )
+    repeated = [m.value for i, m in enumerate(methods) if m in methods[:i]]
+    if repeated:
+        raise PseudoweightError(f"method {repeated[0]!r} is requested more than once")
     columns = job.covariate_columns, job.outcome_column
     survey_design = job.weight_column, job.stratum_column, job.psu_column, job.design_kind
     cpus = _usable_cpus()
@@ -476,8 +480,9 @@ _SIM_COLUMNS = (
 )
 
 
-def emit_simulation_report(report: SimulationReport, path):
-    """Write the Monte Carlo summary as a delimited table.
+def emit_simulation_report(report, path):
+    """Write a Monte Carlo :class:`~pseudoweight.simulation.SimulationReport`
+    as a delimited table.
 
     One row per (scenario, participation rate, method); every column but
     ``warnings`` is the :class:`CellResult` field of its name.  Deterministic

@@ -31,7 +31,7 @@ class DesignKind(str, enum.Enum):
 
 
 class FitFlavor(str, enum.Enum):
-    """Which estimating-equation system produced a propensity fit."""
+    """Which estimating-equation system a method's propensity fit solves."""
 
     POOLED_MEMBERSHIP = "pooled-membership"
     CLW_SCORE = "clw-score"
@@ -203,7 +203,6 @@ class PropensityFit:
     beta: np.ndarray
     p_hat_cohort: np.ndarray
     p_hat_survey: np.ndarray
-    flavor: FitFlavor
     lam: float
     score_norm_path: tuple
 
@@ -264,6 +263,8 @@ def validate_paired_samples(cohort: CohortSample, survey: SurveySample) -> None:
         v.append("non-finite entries in cohort covariates")
     if not np.all(np.isfinite(survey.X)):
         v.append("non-finite entries in survey covariates")
+    if survey.y is not None and not np.all(np.isfinite(survey.y)):
+        v.append("non-finite entries in survey outcome")
     if not np.all(np.isfinite(survey.d)):
         v.append("non-finite survey design weights")
     else:

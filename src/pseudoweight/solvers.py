@@ -28,7 +28,7 @@ import numpy as np
 from scipy.special import expit
 
 from .errors import InfeasibleTotalsError, NonConvergenceError, SingularSystemError
-from .samples import CohortSample, FitFlavor, PooledMatrix, PropensityFit, SurveySample
+from .samples import CohortSample, PooledMatrix, PropensityFit, SurveySample
 
 # Beyond this coefficient magnitude the fitted probabilities are saturated;
 # continued growth means the score cannot be zeroed (infeasible totals).
@@ -138,7 +138,6 @@ def fit_pooled_logistic(pooled: PooledMatrix) -> PropensityFit:
         beta=beta,
         p_hat_cohort=p_cohort,
         p_hat_survey=p_survey,
-        flavor=FitFlavor.POOLED_MEMBERSHIP,
         lam=pooled.lam,
         score_norm_path=tuple(path),
     )
@@ -199,7 +198,6 @@ def fit_clw_score(cohort: CohortSample, survey: SurveySample) -> PropensityFit:
         beta=gamma,
         p_hat_cohort=pi_cohort,
         p_hat_survey=pi_survey,
-        flavor=FitFlavor.CLW_SCORE,
         lam=1.0,
         score_norm_path=tuple(path),
     )

@@ -6,20 +6,13 @@ The variance of a pseudo-weighted mean splits into a cohort-side component
 coefficient transferring propensity-coefficient noise into the mean and
 ``D`` estimates the design variance of the survey total of ``d * p * x``.
 
-One linearization form serves both estimating-equation systems.  ``b``
-solves ``(sum a x x') b = sum u (y - mu) x`` over cohort rows, and the
-cohort component sums ``factor * ((y - mu)/p - b.x)^2``; the two systems
-differ only in these per-unit arrays:
-
-* membership fits (pooled membership model): ``a = w p``, ``u = w``,
-  ``factor = (1 - p)(1 - 2p)``, with ``w`` the pseudo-weights;
-* participation-score fits: ``a = 1 - pi``, ``u = (1 - pi)/pi``,
-  ``factor = 1 - pi``.
-
-Sample sums that stand in for population totals are inverse-participation
-weighted: the membership arrays carry the pseudo-weights, which is what
-keeps the variance ratio near one in simulation (unit weights, ``a = p``
-and ``u = 1``, give unweighted cohort sums instead).
+One kernel, :func:`tl_variance`, serves every method, and it reads data,
+not a fit.  ``b`` solves ``(sum a x x') b = sum u (y - mu) x`` over cohort
+rows (``b = 0`` when the weights are treated as fixed), the cohort
+component sums ``factor * ((y - mu)/q - b.x)^2`` over the squared weight
+total, and the design component is ``b' D b``.  Methods differ only in the
+per-unit arrays ``(a, u, q, factor)`` and the matrix ``D``; the table of
+each method's lives in :func:`pseudoweight.estimators.method_terms`.
 
 The stratified and iid designs share one with-replacement PSU formula over
 integer PSU codes: the stratified design reads them from the survey's
@@ -38,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DesignError
-from .samples import CohortSample, DesignKind, PropensityFit, FitFlavor, SurveySample
+from .samples import CohortSample, DesignKind, SurveySample
 from .solvers import _guarded_solve
 
 
@@ -59,11 +52,11 @@ class VarianceBreakdown:
 def compute_b_hat(
     cohort: CohortSample, a: np.ndarray, u: np.ndarray, mu_hat: float
 ) -> np.ndarray:
-    """Linearization coefficient ``b`` for either fit flavor.
+    """Linearization coefficient ``b``.
 
     Solves ``(sum a x x') b = sum u (y - mu) x`` over cohort rows without
-    forming an explicit inverse; the per-unit arrays ``a`` and ``u`` are
-    listed per flavor in the module docstring.
+    forming an explicit inverse; each method's per-unit arrays ``a`` and
+    ``u`` are given by :func:`pseudoweight.estimators.method_terms`.
     """
     X = cohort.X
     A = X.T @ (a[:, None] * X)
@@ -204,59 +197,33 @@ def _design_matrix(
 
 def tl_variance(
     cohort: CohortSample,
-    survey: SurveySample,
-    fit: PropensityFit,
     weights: np.ndarray,
     mu_hat: float,
-    p_cohort: np.ndarray | None = None,
-    p_survey: np.ndarray | None = None,
+    a: np.ndarray | None,
+    u: np.ndarray | None,
+    q: np.ndarray,
+    factor: np.ndarray,
     design_matrix=None,
 ) -> VarianceBreakdown:
     """Assemble the linearized variance for a pseudo-weighted mean.
 
-    ``weights`` are the method's pseudo-weights for the cohort units.  The
-    probabilities default to the fit's own; scaled-weight estimation passes
-    substitutes (its probability scale differs from the fitted membership
-    probabilities).  The design matrix is chosen by the survey's design
-    metadata and uses the fit's survey-weight multiplier throughout.
-    ``design_matrix``, a function that returns that matrix, lets methods
-    sharing a fit build it once.
+    ``weights`` are the method's pseudo-weights for the cohort units and
+    ``a``, ``u``, ``q`` and ``factor`` its per-unit arrays (see the module
+    docstring).  ``a=None`` treats the weights as fixed: ``b = 0``, so
+    neither ``u`` nor a design term enters.  ``design_matrix`` is a
+    function returning the survey's design matrix ``D``, which lets methods
+    sharing a fit build it once; None means no design term.
 
     A negative cohort component is reported with a warning rather than
     raised: it is a known small-sample behaviour of the membership-form
     plug-in when many fitted probabilities exceed one half.
     """
-    weights = np.asarray(weights, dtype=float)
-    p_c = fit.p_hat_cohort if p_cohort is None else np.asarray(p_cohort, dtype=float)
-    p_s = fit.p_hat_survey if p_survey is None else np.asarray(p_survey, dtype=float)
-
-    if fit.flavor is FitFlavor.POOLED_MEMBERSHIP:
-        a, u, factor = weights * p_c, weights, (1.0 - p_c) * (1.0 - 2.0 * p_c)
-    else:
-        a, u, factor = 1.0 - p_c, (1.0 - p_c) / p_c, 1.0 - p_c
-    b_hat = compute_b_hat(cohort, a, u, mu_hat)
-    v_cohort = variance_cohort_component(cohort, p_c, factor, weights, mu_hat, b_hat)
-
-    D = design_matrix() if design_matrix else _design_matrix(survey, p_s, fit.lam)
-    v_design = float(b_hat @ D @ b_hat)
-
+    b_hat = np.zeros(cohort.n_covariates) if a is None else compute_b_hat(cohort, a, u, mu_hat)
+    v_cohort = variance_cohort_component(cohort, q, factor, weights, mu_hat, b_hat)
+    v_design = float(b_hat @ design_matrix() @ b_hat) if design_matrix else 0.0
     return VarianceBreakdown(
         v_cohort=v_cohort,
         v_design=v_design,
         v_total=v_cohort + v_design,
         warnings=("negative-cohort-component",) if v_cohort < 0 else (),
     )
-
-
-def fixed_weight_variance(
-    cohort: CohortSample, participation: np.ndarray, mu_hat: float
-) -> float:
-    """Variance treating the participation probabilities as known constants.
-
-    No coefficient-uncertainty term and no design component: this is the
-    independent-inclusion variance of the weighted mean with fixed weights
-    ``1/participation``, used for the true-weight oracle estimator.
-    """
-    pi = np.asarray(participation, dtype=float)
-    b0 = np.zeros(cohort.n_covariates)
-    return variance_cohort_component(cohort, pi, 1.0 - pi, 1.0 / pi, mu_hat, b0)

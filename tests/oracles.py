@@ -3,7 +3,7 @@
 import numpy as np
 from scipy.special import expit
 
-from pseudoweight import FitFlavor
+from pseudoweight import DesignKind, FitFlavor, Method
 
 
 def score_at(flavor, coefficients, cohort, survey, lam=1.0):
@@ -25,3 +25,79 @@ def score_at(flavor, coefficients, cohort, survey, lam=1.0):
     else:
         raise ValueError(f"unknown fit flavor {flavor!r}")
     return raw / n_rows
+
+
+def linearized_variance(method, fit, cohort, survey, true_participation=None):
+    """A method's linearized variance, unit by unit.
+
+    ``tw`` treats its weights ``1/pi`` as fixed: the cohort term alone,
+    ``sum (1 - pi)((y - mu)/pi)^2 / (sum w)^2``.  Every other method adds
+    the coefficient and design terms: ``b`` solves
+    ``(sum a x x') b = sum u (y - mu) x`` over cohort units, the cohort
+    term is ``sum factor ((y - mu)/q - b.x)^2 / (sum w)^2`` and the design
+    term is ``b' D b``.  ``clw`` takes the participation form on its fitted
+    ``pi``: ``a = 1 - pi``, ``u = (1 - pi)/pi``, ``q = pi``,
+    ``factor = 1 - pi``.  The rest take the membership form on ``q``:
+    ``a = w q``, ``u = w``, ``factor = (1 - q)(1 - 2q)``, where ``q`` is the
+    fit's membership probability, or ``exp(x.beta)`` for ``alps``, whose
+    design matrix is built on ``exp(x.beta)`` of the survey units too.
+    ``D`` is the survey's design variance of the total of ``lam d q x``
+    (``lam`` the fit's survey-weight multiplier) over ``(sum lam d)^2``:
+    Poisson ``sum lam d (lam d - 1) q^2 x x'``, or with-replacement PSU
+    totals within strata (each unit its own PSU in one stratum for iid).
+    """
+    X, y = cohort.X, cohort.y
+    n, k = X.shape
+    if method is Method.TW:
+        q = np.asarray(true_participation, dtype=float)
+        w = 1.0 / q
+    elif method is Method.ALPS:
+        q = np.exp(X @ fit.beta)
+        w = np.exp(-(X[:, 1:] @ fit.beta[1:]))
+    elif method is Method.CLW:
+        q = fit.p_hat_cohort
+        w = 1.0 + np.exp(-(X @ fit.beta))
+    else:
+        q = fit.p_hat_cohort
+        w = (1.0 - q) / q if method is Method.ALP else 1.0 / q
+    mu = float(np.sum(w * y) / np.sum(w))
+
+    A, rhs, factor = np.zeros((k, k)), np.zeros(k), np.zeros(n)
+    for i in range(n):
+        if method is Method.TW:
+            factor[i] = 1.0 - q[i]
+            continue
+        if method is Method.CLW:
+            a, u, factor[i] = 1.0 - q[i], (1.0 - q[i]) / q[i], 1.0 - q[i]
+        else:
+            a, u, factor[i] = w[i] * q[i], w[i], (1.0 - q[i]) * (1.0 - 2.0 * q[i])
+        A += a * np.outer(X[i], X[i])
+        rhs += u * (y[i] - mu) * X[i]
+    b = np.zeros(k) if method is Method.TW else np.linalg.inv(A) @ rhs
+    v_cohort = sum(
+        factor[i] * ((y[i] - mu) / q[i] - float(np.dot(b, X[i]))) ** 2 for i in range(n)
+    ) / float(np.sum(w)) ** 2
+    if method is Method.TW:
+        return v_cohort
+
+    q_s = np.exp(survey.X @ fit.beta) if method is Method.ALPS else fit.p_hat_survey
+    w_s = fit.lam * survey.d
+    D = np.zeros((k, k))
+    if survey.design.kind is DesignKind.POISSON:
+        for j in range(survey.n_p):
+            D += w_s[j] * (w_s[j] - 1.0) * q_s[j] ** 2 * np.outer(survey.X[j], survey.X[j])
+    else:
+        totals = {}
+        for j in range(survey.n_p):
+            if survey.design.kind is DesignKind.IID:
+                key = (0, j)
+            else:
+                key = (survey.design.stratum[j], survey.design.psu[j])
+            totals[key] = totals.get(key, 0.0) + w_s[j] * q_s[j] * survey.X[j]
+        for h in {key[0] for key in totals}:
+            z = np.array([t for key, t in totals.items() if key[0] == h])
+            a_h = len(z)
+            for z_l in z:
+                D += a_h / (a_h - 1.0) * np.outer(z_l - z.mean(axis=0), z_l - z.mean(axis=0))
+    D /= float(np.sum(w_s)) ** 2
+    return v_cohort + float(b @ D @ b)

@@ -21,6 +21,7 @@ from pseudoweight import (
     ParseError,
     PseudoweightError,
     SurveySample,
+    ValidationError,
     emit_report,
     estimate,
     ingest_delimited,
@@ -410,6 +411,40 @@ class TestEstimationJob:
         with pytest.raises(PseudoweightError, match="runs only under simulate") as info:
             run_estimation_job(job)
         assert type(info.value) is PseudoweightError
+
+    @pytest.mark.parametrize(
+        "methods, name",
+        [((Method.ALP, Method.ALP, Method.FDW), "alp"), (("fdw", Method.CLW, Method.FDW), "fdw")],
+    )
+    def test_repeated_method_is_rejected_before_any_file_is_read(self, tmp_path, methods, name):
+        job = EstimationJob(
+            cohort_path=str(tmp_path / "missing-cohort.csv"),
+            survey_path=str(tmp_path / "missing-survey.csv"),
+            outcome_column="y",
+            covariate_columns=("x1",),
+            weight_column="w",
+            methods=methods,
+        )
+        message = f"method '{name}' is requested more than once"
+        with pytest.raises(PseudoweightError, match=message) as info:
+            run_estimation_job(job)
+        assert type(info.value) is PseudoweightError
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_survey_outcome_is_a_validation_error(self, tmp_path, value):
+        job = EstimationJob(
+            cohort_path=write(tmp_path / "c.csv", COHORT_CSV),
+            survey_path=write(
+                tmp_path / "s.csv", f"y,x1,x2,w\n1.0,0.2,0.8,2.0\n{value},-0.1,0.3,2.0\n"
+            ),
+            outcome_column="y",
+            covariate_columns=("x1", "x2"),
+            weight_column="w",
+            methods=(Method.NAIVE,),
+        )
+        with pytest.raises(ValidationError) as info:
+            run_estimation_job(job)
+        assert info.value.violations == ("non-finite entries in survey outcome",)
 
     def test_unwritable_weight_dump_is_io_error(self, tmp_path):
         cohort_path, survey_path, _ = self_paired_files(tmp_path, n=25, seed=3)
@@ -842,6 +877,7 @@ class TestCli:
         "argv, config, code, fragment",
         [
             (ESTIMATE_ARGV + ["--methods", "alp,tw"], None, 2, "runs only under simulate"),
+            (ESTIMATE_ARGV + ["--methods", "alp,ALP"], None, 1, "'alp' is requested more than once"),
             (["simulate"], '{"replicates": 3,', 1, "sim.json is not valid JSON"),
             (["simulate"], '"abc"', 1, "sim.json must hold a JSON object, not str"),
             (["simulate"], '{"scenarios": ["loglog"]}', 1, "'loglog' is not a valid Scenario"),
@@ -853,6 +889,7 @@ class TestCli:
         ],
         ids=[
             "estimate-tw",
+            "estimate-repeated-method",
             "malformed-json",
             "config-not-an-object",
             "unknown-scenario",

@@ -27,7 +27,7 @@ from pseudoweight import (
     poisson_sample,
     run_monte_carlo,
 )
-from pseudoweight import estimators, simulation
+from pseudoweight import estimators, parallel, simulation
 from pseudoweight.simulation import FinitePopulation
 
 ANALYTIC_MEAN = 3.978  # from the covariate recipe's moments
@@ -465,13 +465,13 @@ def small_grid(**overrides):
 def forks(monkeypatch):
     """One entry for every child the engine forks."""
     started = []
-    real = simulation._fork
+    real = parallel._fork
 
     def recording(*args):
         started.append(args)
         return real(*args)
 
-    monkeypatch.setattr(simulation, "_fork", recording)
+    monkeypatch.setattr(parallel, "_fork", recording)
     return started
 
 
@@ -548,20 +548,20 @@ class TestReplicateEngine:
                 os._exit(3)
             return item
 
-        wait = simulation._fork(exit_in_a_child, 1)
+        wait = parallel._fork(exit_in_a_child, 1)
         with pytest.raises(ChildProcessError, match="exit status 3"):
             wait()
         # the same through the share runner, with a share in this process
         with pytest.raises(ChildProcessError, match="exit status 3"):
-            simulation._fork_map(exit_in_a_child, [1, 2, 3], 2)
+            parallel._fork_map(exit_in_a_child, [1, 2, 3], 2)
 
     def test_fork_map_keeps_item_order(self, no_child_left):
         items = list(range(11))
         for workers in (1, 2, 3, 20):
             for here in (True, False):
-                got = simulation._fork_map(lambda i: (i, i * i), items, workers, here)
+                got = parallel._fork_map(lambda i: (i, i * i), items, workers, here)
                 assert got == [(i, i * i) for i in items]
-        assert simulation._fork_map(abs, [], 4) == []
+        assert parallel._fork_map(abs, [], 4) == []
 
     def test_uncalibratable_cell_raises_before_any_replicate(self, monkeypatch):
         def no_replicate(*args):
@@ -592,8 +592,8 @@ def test_usable_cpus_capped_by_cgroup_quota(tmp_path, monkeypatch, content, cpus
     path = tmp_path / "cpu.max"
     if content is not None:
         path.write_bytes(content.encode("latin-1"))
-    monkeypatch.setattr(simulation, "_CPU_MAX", str(path))
+    monkeypatch.setattr(parallel, "_CPU_MAX", str(path))
     monkeypatch.setattr(
-        simulation.os, "sched_getaffinity", lambda pid: set(range(8)), raising=False
+        parallel.os, "sched_getaffinity", lambda pid: set(range(8)), raising=False
     )
-    assert simulation._usable_cpus() == cpus
+    assert parallel._usable_cpus() == cpus

@@ -6,6 +6,7 @@ from pseudoweight import (
     CohortSample,
     FitFlavor,
     InfeasibleTotalsError,
+    Method,
     NonConvergenceError,
     SingularSystemError,
     SurveySample,
@@ -14,6 +15,7 @@ from pseudoweight import (
     fit_pooled_logistic,
     solvers,
 )
+from pseudoweight.estimators import fit_key
 
 from oracles import score_at
 
@@ -167,9 +169,8 @@ class TestClwScore:
     def test_flavor_and_lambda(self):
         cohort = CohortSample(y=np.zeros(3), X=GRID_CLW_XC)
         survey = SurveySample(X=GRID_CLW_XP, d=GRID_CLW_D)
-        fit = fit_clw_score(cohort, survey)
-        assert fit.flavor is FitFlavor.CLW_SCORE
-        assert fit.lam == 1.0
+        assert fit_key(Method.CLW, cohort, survey) == (FitFlavor.CLW_SCORE, 1.0)
+        assert fit_clw_score(cohort, survey).lam == 1.0
 
     def test_infeasible_cohort_count_raises_immediately(self):
         cohort, survey = intercept_only(5, [2.0, 2.0])

@@ -1,4 +1,5 @@
 import itertools
+from functools import partial
 
 import numpy as np
 import pytest
@@ -11,17 +12,20 @@ from pseudoweight import (
     DesignInfo,
     DesignKind,
     Method,
+    MethodSpec,
     SurveySample,
     compute_b_hat,
     design_variance_iid,
     design_variance_poisson,
     design_variance_stratified,
     estimate,
+    estimate_each,
     fit_for_method,
-    fixed_weight_variance,
     tl_variance,
     variance_cohort_component,
 )
+
+from oracles import linearized_variance
 
 # frozen 5-unit instance solved by an explicit 2x2 inverse before the
 # module existed
@@ -295,6 +299,11 @@ class TestStratifiedDesign:
         np.testing.assert_allclose(D, expected, rtol=1e-12)
 
 
+def membership_arrays(w, p):
+    """The membership form's ``(a, u, q, factor)`` on probabilities ``p``."""
+    return w * p, w, p, (1 - p) * (1 - 2 * p)
+
+
 class TestTlVariance:
     def make_pair(self, seed=30, n_c=80, n_p=60):
         rng = np.random.default_rng(seed)
@@ -307,30 +316,31 @@ class TestTlVariance:
             SurveySample(X=Xp, d=d, design=DesignInfo(kind=DesignKind.POISSON)),
         )
 
+    def alp_variance(self, cohort, survey, mu=None):
+        fit = fit_for_method(Method.ALP, cohort, survey)
+        p = fit.p_hat_cohort
+        w = (1 - p) / p
+        if mu is None:
+            mu = float(np.sum(w * cohort.y) / w.sum())
+        design = partial(design_variance_poisson, survey, fit.p_hat_survey)
+        return tl_variance(cohort, w, mu, *membership_arrays(w, p), design)
+
     def test_census_survey_kills_design_component(self):
         cohort, survey = self.make_pair()
         census = SurveySample(X=survey.X, d=np.ones(survey.n_p))
-        fit = fit_for_method(Method.ALP, cohort, census)
-        w = (1 - fit.p_hat_cohort) / fit.p_hat_cohort
-        mu = float(np.sum(w * cohort.y) / w.sum())
-        vb = tl_variance(cohort, census, fit, w, mu)
+        vb = self.alp_variance(cohort, census)
         assert vb.v_design == 0.0
         assert vb.v_total == vb.v_cohort
 
     def test_constant_outcome_gives_zero_variance(self):
         cohort, survey = self.make_pair()
         const = CohortSample(y=np.full(cohort.n_c, 2.2), X=cohort.X)
-        fit = fit_for_method(Method.ALP, const, survey)
-        w = (1 - fit.p_hat_cohort) / fit.p_hat_cohort
-        vb = tl_variance(const, survey, fit, w, 2.2)
+        vb = self.alp_variance(const, survey, mu=2.2)
         assert vb.v_total == pytest.approx(0.0, abs=1e-18)
 
     def test_breakdown_adds_up(self):
         cohort, survey = self.make_pair()
-        fit = fit_for_method(Method.ALP, cohort, survey)
-        w = (1 - fit.p_hat_cohort) / fit.p_hat_cohort
-        mu = float(np.sum(w * cohort.y) / w.sum())
-        vb = tl_variance(cohort, survey, fit, w, mu)
+        vb = self.alp_variance(cohort, survey)
         assert vb.v_total == pytest.approx(vb.v_cohort + vb.v_design, rel=1e-12)
         assert vb.v_design >= 0.0
 
@@ -361,11 +371,13 @@ class TestTlVariance:
         fit = fit_for_method(Method.ALP, c, survey)
         p_fake = np.full(n, 0.75)
         w = (1 - p_fake) / p_fake
-        vb = tl_variance(c, survey, fit, w, float(c.y.mean()), p_cohort=p_fake)
+        design = partial(design_variance_poisson, survey, fit.p_hat_survey)
+        vb = tl_variance(c, w, float(c.y.mean()), *membership_arrays(w, p_fake), design)
         assert vb.v_cohort < 0
         assert "negative-cohort-component" in vb.warnings
 
     def test_fixed_weight_variance_matches_loop(self):
+        # a=None: the weights are fixed, so b = 0 and there is no design term
         rng = np.random.default_rng(33)
         n = 15
         c = CohortSample(y=rng.normal(2.0, 1.0, n), X=np.ones((n, 1)))
@@ -373,19 +385,52 @@ class TestTlVariance:
         mu = 2.0
         w = 1.0 / pi
         expected = float(np.sum((1 - pi) * w**2 * (c.y - mu) ** 2) / w.sum() ** 2)
-        assert fixed_weight_variance(c, pi, mu) == pytest.approx(expected, rel=1e-12)
+        vb = tl_variance(c, w, mu, None, None, pi, 1 - pi)
+        assert vb.v_total == pytest.approx(expected, rel=1e-12)
+        assert vb.v_design == 0.0
 
     def test_clw_variance_uses_participation_form(self):
         cohort, survey = self.make_pair(seed=34)
         fit = fit_for_method(Method.CLW, cohort, survey)
-        pi = fit.p_hat_cohort
-        w = 1.0 / pi
-        mu = float(np.sum(w * cohort.y) / w.sum())
-        vb = tl_variance(cohort, survey, fit, w, mu)
+        res = estimate(Method.CLW, cohort, survey)
+        pi, mu = fit.p_hat_cohort, res.mu_hat
         b = compute_b_hat(cohort, 1 - pi, (1 - pi) / pi, mu)
-        v1 = variance_cohort_component(cohort, pi, 1 - pi, w, mu, b)
+        v1 = variance_cohort_component(cohort, pi, 1 - pi, res.weights, mu, b)
         D = design_variance_poisson(survey, fit.p_hat_survey)
-        assert vb.v_total == pytest.approx(v1 + b @ D @ b, rel=1e-12)
+        assert res.var_hat == pytest.approx(v1 + b @ D @ b, rel=1e-12)
+
+
+def designed_pair(kind, seed=35, n_c=150):
+    """A cohort with its true participation rates, and a survey of 6
+    strata x 4 PSUs x 5 units declared under ``kind``."""
+    rng = np.random.default_rng(seed)
+    Xc = np.column_stack([np.ones(n_c), rng.normal(0.4, 1.0, n_c), rng.normal(size=n_c)])
+    yc = 2.0 + Xc[:, 1] - 0.5 * Xc[:, 2] + rng.normal(size=n_c)
+    n_p = 120
+    Xp = np.column_stack([np.ones(n_p), rng.normal(size=n_p), rng.normal(size=n_p)])
+    stratum, psu = np.repeat(np.arange(6), 20), np.repeat(np.arange(24), 5) % 4
+    design = DesignInfo(kind=kind, stratum=stratum, psu=psu)
+    return (
+        CohortSample(y=yc, X=Xc),
+        SurveySample(X=Xp, d=rng.uniform(3.0, 9.0, n_p), design=design),
+        rng.uniform(0.05, 0.4, n_c),
+    )
+
+
+VARIANCE_METHODS = (Method.TW, Method.ALP, Method.FDW, Method.RDW, Method.CLW, Method.ALPS)
+
+
+@pytest.mark.parametrize("kind", list(DesignKind), ids=lambda k: k.value)
+@pytest.mark.parametrize("method", VARIANCE_METHODS, ids=lambda m: m.value)
+def test_every_method_variance_matches_loop_reference(method, kind):
+    cohort, survey, pi = designed_pair(kind)
+    results = estimate_each(
+        [MethodSpec(m) for m in VARIANCE_METHODS], cohort, survey, true_participation=pi
+    )
+    got = results[VARIANCE_METHODS.index(method)]
+    fit = fit_for_method(method, cohort, survey)
+    expected = linearized_variance(method, fit, cohort, survey, pi)
+    assert got.var_hat == pytest.approx(expected, rel=1e-10)
 
 
 # Property tests over random stratum/PSU layouts.  Examples are derandomized
