@@ -51,6 +51,7 @@ from .samples import (
     WeightedEstimate,
     build_pooled_matrix,
     default_lambda,
+    pooled_rows,
     rdw_rescale_factor,
     validate_paired_samples,
 )
@@ -159,17 +160,18 @@ def fit_key(method: Method, cohort: CohortSample, survey: SurveySample):
 
 
 def fit_for_method(
-    method: Method, cohort: CohortSample, survey: SurveySample
+    method: Method, cohort: CohortSample, survey: SurveySample, rows=None
 ) -> PropensityFit | None:
     """Run the propensity fit a method needs (None for naive/tw); methods
-    with the same :func:`fit_key` (``alp`` and ``fdw``) get the same fit."""
+    with the same :func:`fit_key` (``alp`` and ``fdw``) get the same fit.
+    ``rows`` is passed on to :func:`build_pooled_matrix`."""
     key = fit_key(method, cohort, survey)
     if key is None:
         return None
     flavor, multiplier = key
     if flavor is FitFlavor.CLW_SCORE:
         return fit_clw_score(cohort, survey)
-    return fit_pooled_logistic(build_pooled_matrix(cohort, survey, multiplier))
+    return fit_pooled_logistic(build_pooled_matrix(cohort, survey, multiplier, rows))
 
 
 def _interval(mu: float, var: float | None):
@@ -269,16 +271,18 @@ def estimate_each(specs, cohort, survey, true_participation=None) -> list:
 
     Each entry of the result is the spec's :class:`WeightedEstimate` or the
     :class:`PseudoweightError` that stopped it.  Specs whose methods have
-    equal :func:`fit_key` share one fit, or that fit's error, and the
-    fit's design matrix, built when a method first needs it.
+    equal :func:`fit_key` share one fit, or that fit's error, and its design
+    matrix, built when first needed; pooled fits share one :func:`pooled_rows`.
     """
-    fits, results = {}, []
+    fits, results, rows = {}, [], None
     for spec in specs:
         try:
             key = fit_key(spec.method, cohort, survey)
             if key not in fits:
+                if key and key[0] is FitFlavor.POOLED_MEMBERSHIP:
+                    rows = rows or pooled_rows(cohort, survey)
                 try:
-                    fit = fit_for_method(spec.method, cohort, survey)
+                    fit = fit_for_method(spec.method, cohort, survey, rows)
                 except PseudoweightError as exc:
                     fit = exc
                 design = cache(lambda f=fit: _design_matrix(survey, f.p_hat_survey, f.lam))

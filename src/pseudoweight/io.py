@@ -276,11 +276,7 @@ def ingest_delimited(
             X=X,
             d=data[weight],
             y=data.get(outcome),
-            design=DesignInfo(
-                kind=DesignKind(design),
-                stratum=labels.get(stratum),
-                psu=labels.get(psu),
-            ),
+            design=DesignInfo(design, labels.get(stratum), labels.get(psu)),
         )
     if not outcome:
         raise MissingColumnError("a cohort file needs an outcome column")

@@ -1,5 +1,6 @@
 """Forked workers for the study and the ``estimate`` job: how many CPUs
-this process may use, and a map that runs shares of a list in children."""
+this process may use, a map that runs shares of a list in children, and a
+queue from which children take the items of a list as they become free."""
 
 import math
 import os
@@ -103,3 +104,33 @@ def _fork_map(fn, items, workers, here=True):
             raise value
         results[k::workers] = value
     return results
+
+
+def _fork_queue(fn, items, workers):
+    """``[fn(item) for item in items]`` in ``workers`` forked children
+    (:func:`_fork_map`) while this process only waits.  A child takes the
+    next item's index from a shared pipe whenever it is free, and puts back
+    the index ``workers`` further on, so items early in the list start first
+    and the pipe never holds more than ``workers`` indices: at most 1,024,
+    which a pipe's smallest buffer (4 KiB) takes without blocking."""
+    workers = min(workers, 1024)
+    read_end, write_end = os.pipe()
+
+    def put(i):
+        os.write(write_end, i.to_bytes(4, "little"))
+
+    def take(_):
+        done = []
+        while (i := int.from_bytes(os.read(read_end, 4), "little")) < len(items):
+            put(i + workers)
+            done.append((i, fn(items[i])))
+        return done
+
+    try:
+        for i in range(workers):
+            put(i)
+        taken = _fork_map(take, [None] * workers, workers, here=False)
+    finally:
+        os.close(read_end)
+        os.close(write_end)
+    return [value for _, value in sorted(pair for share in taken for pair in share)]

@@ -38,6 +38,10 @@ class FitFlavor(str, enum.Enum):
 
 
 def _readonly(a, dtype=float):
+    # an array that is read-only, of that dtype and owns its memory is kept
+    if isinstance(a, np.ndarray) and a.base is None and not a.flags.writeable:
+        if a.dtype == (dtype or a.dtype):
+            return a
     out = np.array(a, dtype=dtype)
     out.flags.writeable = False
     return out
@@ -86,12 +90,12 @@ class PsuCodes:
 class DesignInfo:
     """Survey design metadata.
 
-    ``stratum`` and ``psu`` are per-unit labels, required only for the
-    stratified with-replacement design.  Labels are sorted to number the
-    strata and PSUs, so the labels of each column must be mutually sortable
-    (all strings or all numbers, say); a PSU is identified within its
-    stratum.  The labels are stored as read-only copies, which keeps
-    :attr:`psu_codes` valid once computed.
+    ``kind`` may be given by its value (``"poisson"``).  ``stratum`` and
+    ``psu`` are per-unit labels, required only for the stratified
+    with-replacement design.  Labels are sorted to number the strata and
+    PSUs, so the labels of each column must be mutually sortable (all
+    strings or all numbers, say); a PSU is identified within its stratum.
+    The labels are stored read-only, which keeps :attr:`psu_codes` valid.
     """
 
     kind: DesignKind = DesignKind.POISSON
@@ -99,6 +103,7 @@ class DesignInfo:
     psu: np.ndarray | None = None
 
     def __post_init__(self):
+        object.__setattr__(self, "kind", DesignKind(self.kind))
         for name in ("stratum", "psu"):
             labels = getattr(self, name)
             if labels is not None:
@@ -339,21 +344,30 @@ def default_lambda(n_c: int, d: np.ndarray) -> float:
     return n_c / float(np.sum(d))
 
 
+def pooled_rows(cohort: CohortSample, survey: SurveySample):
+    """The stacked covariates and membership indicators of a pooled fit,
+    read-only, which every pooled fit of the same two samples can share."""
+    X = np.vstack([cohort.X, survey.X])
+    R = np.concatenate([np.ones(cohort.n_c), np.zeros(survey.n_p)])
+    X.flags.writeable = R.flags.writeable = False
+    return X, R
+
+
 def build_pooled_matrix(
     cohort: CohortSample,
     survey: SurveySample,
     survey_weight_multiplier: float = 1.0,
+    rows=None,
 ) -> PooledMatrix:
     """Stack the two samples for a membership logistic fit.
 
     ``survey_weight_multiplier`` implements the per-unit multiplier rule:
     1 for the plain pooled fit, :func:`rdw_rescale_factor` for the rescaled
     fit, or a scale constant such as :func:`default_lambda` for scaled-weight
-    fitting.
+    fitting.  ``rows``, the samples' :func:`pooled_rows`, is made if not given.
     """
     if survey_weight_multiplier <= 0:
         raise ValueError("survey weight multiplier must be positive")
-    X = np.vstack([cohort.X, survey.X])
-    R = np.concatenate([np.ones(cohort.n_c), np.zeros(survey.n_p)])
+    X, R = rows or pooled_rows(cohort, survey)
     w = np.concatenate([np.ones(cohort.n_c), survey_weight_multiplier * survey.d])
     return PooledMatrix(X=X, R=R, w=w, n_c=cohort.n_c, lam=float(survey_weight_multiplier))

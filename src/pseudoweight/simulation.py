@@ -3,17 +3,19 @@ mechanisms, replicated estimation, and summary metrics.
 
 A single finite population is generated per study.  Within each grid cell
 (scenario x participation rate), unit-level participation probabilities and
-survey inclusion probabilities are calibrated once, and every replicate then
+survey inclusion probabilities are calibrated, and every replicate then
 draws both samples independently, runs the requested estimators, and feeds a
 deterministic reduction.
 
 Seed discipline: replicate generators are spawned from the base seed with a
 counter key ``(scenario code, participation-rate key, replicate index)``, so
 any cell or replicate can be reproduced in isolation.  The engine relies on
-that: after the calling process has generated the population and calibrated
-every cell, forked worker processes each draw and estimate an interleaved
-share of the replicates, and the calling process reduces their results in
-replicate order, so the report does not depend on the number of workers.
+that: the calling process makes the population, checks every cell's root
+bracket and solves the survey's constant; forked workers then calibrate,
+draw and estimate whole cells, each taking the costliest cell left whenever
+it is free (a cell is split only when workers outnumber cells), and the
+calling process reduces their results in replicate order, so the report does
+not depend on the number of workers.
 
 Each cell's participation intercept is found by :func:`_brentq`, a port of
 scipy's ``brentq`` that returns the same double, so neither the package nor
@@ -42,7 +44,7 @@ from .errors import (
     PseudoweightError,
 )
 from .estimators import Method, MethodSpec, estimate_each
-from .parallel import _fork_map, _usable_cpus
+from .parallel import _fork_queue, _usable_cpus
 from .samples import CohortSample, DesignInfo, DesignKind, SurveySample
 
 #: Slope coefficients of the participation models, shared by both scenarios.
@@ -221,44 +223,40 @@ def _brentq(f, a, b, xtol):
     )
 
 
+def _intercept_equation(population, scenario, f_c_target, slopes=PARTICIPATION_SLOPES):
+    """The mean-rate residual ``g`` whose root is a cell's intercept, and the
+    bracket ``lo, hi`` holding it.  Under the log link ``hi`` is the
+    feasibility boundary (largest intercept keeping every rate below one)."""
+    if not 0.0 < f_c_target < 1.0:
+        raise InfeasibleTargetError("participation-rate target must lie in (0, 1)")
+    eta = population.X[:, 1:] @ np.asarray(slopes, dtype=float)
+    link = np.exp if scenario is Scenario.LOG_LINK else expit
+
+    def g(c):
+        return link(c + eta).sum() / population.N - f_c_target
+
+    if link is expit:
+        return g, -40.0, 40.0
+    hi = -eta.max() - 1e-9
+    if g(hi) < 0:
+        raise InfeasibleTargetError(
+            f"no intercept keeps all probabilities below one while the mean reaches {f_c_target}"
+        )
+    if g(hi - 40.0) > 0:  # pragma: no cover - would need f_c below exp(-40)
+        raise InfeasibleTargetError("participation-rate target too small for the bracket")
+    return g, hi - 40.0, hi
+
+
 def calibrate_participation_intercept(
-    population: FinitePopulation,
-    scenario: Scenario,
-    f_c_target: float,
-    slopes=PARTICIPATION_SLOPES,
+    population: FinitePopulation, scenario: Scenario, f_c_target: float, slopes=PARTICIPATION_SLOPES
 ) -> float:
     """Intercept for which the mean participation probability hits the target.
 
     The mean probability is strictly increasing in the intercept, so a
-    bracketing root search applies.  Under the log link the bracket's upper
-    end is the feasibility boundary (largest probability reaching one); a
-    target above what that boundary allows raises
-    :class:`InfeasibleTargetError`.
+    bracketing root search applies.  A target the log link cannot reach
+    with every probability below one raises :class:`InfeasibleTargetError`.
     """
-    if not 0.0 < f_c_target < 1.0:
-        raise InfeasibleTargetError("participation-rate target must lie in (0, 1)")
-    eta = population.X[:, 1:] @ np.asarray(slopes, dtype=float)
-    N = population.N
-    if scenario is Scenario.LOG_LINK:
-
-        def g(c):
-            return np.exp(c + eta).sum() / N - f_c_target
-
-        hi = -eta.max() - 1e-9
-        lo = hi - 40.0
-        if g(hi) < 0:
-            raise InfeasibleTargetError(
-                f"no intercept keeps all probabilities below one while the "
-                f"mean reaches {f_c_target}"
-            )
-        if g(lo) > 0:  # pragma: no cover - would need f_c below exp(-40)
-            raise InfeasibleTargetError("participation-rate target too small for the bracket")
-    else:
-
-        def g(c):
-            return expit(c + eta).sum() / N - f_c_target
-
-        lo, hi = -40.0, 40.0
+    g, lo, hi = _intercept_equation(population, scenario, f_c_target, slopes)
     intercept = _brentq(g, lo, hi, xtol=1e-13)
     if abs(g(intercept)) >= 1e-8:
         raise NonConvergenceError(
@@ -380,69 +378,38 @@ def _replicate_seed(base_seed: int, scenario: Scenario, f_c: float, rep: int):
 
 @dataclass(frozen=True)
 class _Study:
-    """What every replicate of a study reads: the population, the cells
-    with their calibrated participation probabilities, and the survey's
-    inclusion probabilities and design weights."""
+    """What every replicate of a study reads besides its cell."""
 
     population: FinitePopulation
-    cells: tuple
-    pi_c: tuple
     pi_p: np.ndarray
     d: np.ndarray
     specs: tuple
     base_seed: int
 
 
-def _calibrate(population, cells, methods, base_seed, f_p) -> _Study:
-    """Calibrate every cell before any replicate runs.  The survey's
-    inclusion probabilities depend only on the population and ``f_p``, so
-    they are solved once per study."""
-    pi_c = []
-    for cell in cells:
-        try:
-            intercept = calibrate_participation_intercept(
-                population, cell.scenario, cell.f_c_target
-            )
-        except (InfeasibleTargetError, NonConvergenceError) as exc:
-            raise CellInfeasibleError(
-                f"cell ({cell.scenario.value}, f_c={cell.f_c_target}) cannot be "
-                f"calibrated: {exc}"
-            ) from exc
-        pi_c.append(participation_probabilities(population, cell.scenario, intercept))
+def _for_cell(cell: ScenarioConfig, calibrate, population):
+    """``calibrate`` one cell; a failure raises :class:`CellInfeasibleError` naming it."""
     try:
-        _, pi_p = calibrate_survey_const(population, f_p)
-    except InfeasibleTargetError as exc:
-        raise CellInfeasibleError(f"the survey cannot be calibrated: {exc}") from exc
-    return _Study(
-        population=population,
-        cells=tuple(cells),
-        pi_c=tuple(pi_c),
-        pi_p=pi_p,
-        d=1.0 / pi_p,
-        specs=tuple(MethodSpec(method=m) for m in methods),
-        base_seed=base_seed,
-    )
+        return calibrate(population, cell.scenario, cell.f_c_target)
+    except (InfeasibleTargetError, NonConvergenceError) as exc:
+        name = f"cell ({cell.scenario.value}, f_c={cell.f_c_target})"
+        raise CellInfeasibleError(f"{name} cannot be calibrated: {exc}") from exc
 
 
-def _replicate(study: _Study, cell_index: int, rep: int):
-    """Draw one replicate of one cell and run every method on it.
+def _replicate(study: _Study, cell: ScenarioConfig, pi_c: np.ndarray, rep: int):
+    """Draw replicate ``rep`` of a cell of participation probabilities
+    ``pi_c`` and run every method on it.
 
     Returns the cohort size and, per method, ``(mu_hat, var_hat, ci_low,
     ci_high, warnings)`` or the class name of the package error that
     excluded the replicate.  Weight vectors are not returned.
     """
-    cell = study.cells[cell_index]
-    pi_c = study.pi_c[cell_index]
     population = study.population
     rng = _replicate_seed(study.base_seed, cell.scenario, cell.f_c_target, rep)
     inc_c = poisson_sample(pi_c, rng)
     inc_p = poisson_sample(study.pi_p, rng)
     cohort = CohortSample(y=population.y[inc_c], X=population.X[inc_c])
-    survey = SurveySample(
-        X=population.X[inc_p],
-        d=study.d[inc_p],
-        design=DesignInfo(kind=DesignKind.POISSON),
-    )
+    survey = SurveySample(population.X[inc_p], study.d[inc_p], DesignInfo(DesignKind.POISSON))
     results = estimate_each(study.specs, cohort, survey, true_participation=pi_c[inc_c])
     return cohort.n_c, tuple(
         type(r).__name__
@@ -452,19 +419,38 @@ def _replicate(study: _Study, cell_index: int, rep: int):
     )
 
 
-def _run_replicates(study: _Study, replicates: int):
-    """Every cell's replicate outcomes, in replicate order.
+def _run_cell(study: _Study, cell: ScenarioConfig, reps: range):
+    """A cell's root search, then the outcomes of its replicates ``reps``."""
+    intercept = _for_cell(cell, calibrate_participation_intercept, study.population)
+    pi_c = participation_probabilities(study.population, cell.scenario, intercept)
+    return [_replicate(study, cell, pi_c, rep) for rep in reps]
 
-    One worker per usable CPU, capped at the number of (cell, replicate)
-    units.  More than one each run an interleaved share of the units in a
-    forked child, which inherits the calibrated study, while this process
-    only waits; the results come back in unit order, so the reduction sees
-    the same lists whatever the worker count.
-    """
-    n_cells = len(study.cells)
-    units = [(c, rep) for c in range(n_cells) for rep in range(replicates)]
-    done = _fork_map(lambda unit: _replicate(study, *unit), units, _usable_cpus(), here=False)
-    return [done[c * replicates : (c + 1) * replicates] for c in range(n_cells)]
+
+def _pieces(costs, replicates: int, workers: int):
+    """Cells of estimated ``costs`` as ``(cell, replicate range)`` pieces,
+    costliest first: whole cells, unless workers outnumber cells, when each
+    cell is cut into the fewest pieces that give every worker one (piece
+    ``k`` of ``n`` holding replicates ``k, k + n, ...``)."""
+    n = min(replicates, -(-workers // len(costs)))
+    order = sorted(range(len(costs)), key=lambda c: -costs[c])
+    return [(c, range(k, replicates, n)) for c in order for k in range(n)]
+
+
+def _run_replicates(study: _Study, cells, replicates: int):
+    """Every cell's replicate outcomes, in order.  One worker per usable CPU
+    (at most one per replicate) takes the next of the :func:`_pieces` as it
+    becomes free; with more than one, each runs in a forked child while this
+    process only waits."""
+    workers = min(_usable_cpus(), len(cells) * replicates)
+    # in replicates of an empty cohort; a root search costs 0.3 (log) or 1.5 (logit)
+    search = {Scenario.LOG_LINK: 0.3, Scenario.LOGIT_LINK: 1.5}
+    costs = [search[c.scenario] + replicates * (1.0 + 7.0 * c.f_c_target) for c in cells]
+    pieces = _pieces(costs, replicates, workers)
+    done = _fork_queue(lambda piece: _run_cell(study, cells[piece[0]], piece[1]), pieces, workers)
+    outcomes = [[None] * replicates for _ in cells]
+    for (c, reps), piece in zip(pieces, done):
+        outcomes[c][reps.start :: reps.step] = piece
+    return outcomes
 
 
 def _cell_results(cell: ScenarioConfig, methods, outcomes, mu: float):
@@ -528,25 +514,28 @@ def run_monte_carlo(
     method's aggregates and counted in ``n_excluded``; a method left with
     fewer than two replicates gets ``nan`` for every metric it reports.
     Fewer than two ``replicates`` raise :class:`InsufficientReplicatesError`
-    and cells that cannot be calibrated raise :class:`CellInfeasibleError`,
-    both before any replicate runs.
+    and a cell whose root bracket fails raises :class:`CellInfeasibleError`,
+    both before any replicate runs; a root search failing in a worker
+    raises the latter once every worker has ended.
 
-    On Linux, replicates run in one forked process per usable CPU, capped
-    at the number of replicates in the grid; with one CPU, or on other
-    platforms, they run in this process.  The report is the same, byte for
-    byte, whatever the worker count.
+    On Linux, cells run in one forked process per usable CPU, capped at the
+    number of replicates in the grid; with one CPU, or on other platforms,
+    they run in this process.  The report is the same, byte for byte,
+    whatever the worker count.
     """
     if replicates < 2:
         raise InsufficientReplicatesError("need at least two replicates for a variance")
     population = generate_population(population_config)
     methods = tuple(Method(m) for m in methods)
-    cells = [
-        ScenarioConfig(Scenario(scenario), float(f_c), f_p)
-        for scenario in scenarios
-        for f_c in f_c_grid
-    ]
-    study = _calibrate(population, cells, methods, base_seed, f_p)
-    outcomes = _run_replicates(study, replicates)
+    cells = [ScenarioConfig(Scenario(s), float(f_c), f_p) for s in scenarios for f_c in f_c_grid]
+    for cell in cells:  # Brent's method checks its bracket, then stops at this tolerance
+        _for_cell(cell, lambda *args: _brentq(*_intercept_equation(*args), math.inf), population)
+    try:
+        _, pi_p = calibrate_survey_const(population, f_p)
+    except InfeasibleTargetError as exc:
+        raise CellInfeasibleError(f"the survey cannot be calibrated: {exc}") from exc
+    study = _Study(population, pi_p, 1.0 / pi_p, tuple(map(MethodSpec, methods)), base_seed)
+    outcomes = _run_replicates(study, cells, replicates)
     return SimulationReport(
         mu_true=population.mu,
         n_population=population.N,

@@ -47,7 +47,9 @@ def _guarded_solve(A: np.ndarray, rhs: np.ndarray, label: str) -> np.ndarray:
     system in the error message."""
     if not np.all(np.isfinite(A)):
         raise SingularSystemError(f"{label} contains non-finite entries")
-    if np.linalg.cond(A) > _MAX_CONDITION:
+    # np.linalg.cond's ratio, whose 0/0 it reads as infinite
+    s = np.linalg.svd(A, compute_uv=False).tolist()
+    if s[-1] == 0 or s[0] / s[-1] > _MAX_CONDITION:
         raise SingularSystemError(
             f"{label} is rank deficient (condition number exceeds "
             f"{_MAX_CONDITION:g}); check for collinear covariates"

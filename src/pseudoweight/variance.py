@@ -66,20 +66,21 @@ def compute_b_hat(
 
 def variance_cohort_component(
     cohort: CohortSample,
-    p_hat_cohort: np.ndarray,
+    q: np.ndarray,
     factor: np.ndarray,
     weights: np.ndarray,
     mu_hat: float,
     b_hat: np.ndarray,
 ) -> float:
-    """Cohort-side variance plug-in ``sum factor * resid^2 / (sum weights)^2``.
+    """Cohort-side variance plug-in ``sum factor * ((y - mu)/q - b.x)^2 /
+    (sum weights)^2``, for a method's per-unit arrays ``q`` and ``factor``.
 
     With the membership factor ``(1 - p)(1 - 2p)``, terms with fitted
     probability above one half contribute negatively; the sum is returned
     as-is.
     """
     n_hat_c = float(np.sum(weights))
-    resid = (cohort.y - mu_hat) / p_hat_cohort - cohort.X @ b_hat
+    resid = (cohort.y - mu_hat) / q - cohort.X @ b_hat
     total = float(np.sum(factor * resid**2))
     return total / n_hat_c**2
 

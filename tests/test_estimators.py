@@ -303,3 +303,52 @@ class TestEstimateEach:
         assert built == [1.0, cohort.n_c / float(np.sum(survey.d))]
         for a, b in zip(alone, together):
             assert repr(a) == repr(b)
+
+    def test_pooled_fits_share_one_stack_of_rows(self, monkeypatch):
+        from pseudoweight import estimators, samples
+
+        cohort, survey = synthetic_pair()
+        methods = (Method.NAIVE, Method.ALP, Method.FDW, Method.RDW, Method.CLW, Method.ALPS)
+        alone = [estimate(m, cohort, survey) for m in methods]
+        stacks, pooled = [], []
+        real_rows, real_build = estimators.pooled_rows, estimators.build_pooled_matrix
+
+        def counted_rows(*args):
+            stacks.append(real_rows(*args))
+            return stacks[-1]
+
+        def recorded_build(*args):
+            pooled.append(real_build(*args))
+            return pooled[-1]
+
+        monkeypatch.setattr(estimators, "pooled_rows", counted_rows)
+        monkeypatch.setattr(estimators, "build_pooled_matrix", recorded_build)
+        together = estimate_each([MethodSpec(m) for m in methods], cohort, survey)
+        # alp/fdw, rdw and alps: three fits, one read-only stack
+        assert len(stacks) == 1 and len(pooled) == 3
+        (X, R), = stacks
+        assert not X.flags.writeable and not R.flags.writeable
+        assert all(p.X is X and p.R is R for p in pooled)
+        for a, b in zip(alone, together):
+            assert repr(a) == repr(b)
+
+    @pytest.mark.parametrize("kind", ["poisson", "stratified", "iid"])
+    def test_design_kind_given_by_its_value_estimates_the_same(self, kind):
+        from pseudoweight import DesignInfo, DesignKind
+
+        cohort, survey = synthetic_pair()
+        labels = {}
+        if kind == "stratified":
+            labels = dict(stratum=np.arange(survey.n_p) % 3, psu=np.arange(survey.n_p) % 5)
+        surveys = [
+            SurveySample(X=survey.X, d=survey.d, design=DesignInfo(kind=k, **labels))
+            for k in (kind, DesignKind(kind))
+        ]
+        assert surveys[0].design.kind is DesignKind(kind)
+        by_value, by_member = (
+            [estimate(m, cohort, s) for m in (Method.ALP, Method.CLW, Method.ALPS)]
+            for s in surveys
+        )
+        for a, b in zip(by_value, by_member):
+            assert repr(a) == repr(b)
+            assert a.var_hat is not None and a.var_hat > 0

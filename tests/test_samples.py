@@ -230,3 +230,32 @@ def test_mixed_text_and_number_labels_raise_design_error(labels, mixed_column):
     }
     with pytest.raises(DesignError, match="mutually sortable"):
         DesignInfo(DesignKind.STRATIFIED_WR, **columns).psu_codes
+
+
+class TestDesignKind:
+    def test_value_is_converted_to_the_member(self):
+        assert DesignInfo(kind="poisson").kind is DesignKind.POISSON
+        assert DesignInfo(kind="iid").kind is DesignKind.IID
+        with pytest.raises(ValueError):
+            DesignInfo(kind="cluster")
+
+    def test_stratified_by_value_still_needs_labels(self):
+        bad = make_survey(design=DesignInfo(kind="stratified"))
+        found = violations(make_cohort(), bad)
+        assert any("requires stratum and psu labels" in v for v in found)
+
+
+class TestReadOnlyArrays:
+    def test_read_only_array_owning_its_memory_is_shared(self):
+        rows = build_pooled_matrix(make_cohort(), make_survey())
+        survey = SurveySample(X=rows.X, d=rows.w)
+        assert survey.X is rows.X
+
+    def test_writable_array_or_read_only_view_is_copied(self):
+        for read_only_view in (False, True):
+            X = np.ones((3, 2))
+            given = X.view()
+            given.flags.writeable = not read_only_view
+            cohort = CohortSample(y=np.zeros(3), X=given)
+            X[0, 1] = 7.0
+            assert cohort.X[0, 1] == 1.0

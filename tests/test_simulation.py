@@ -489,8 +489,10 @@ class TestReplicateEngine:
             (8, {}, 8),
             # a one-cell grid of 2 replicates has fewer units than CPUs
             (8, dict(scenarios=(Scenario.LOG_LINK,), f_c_grid=(0.05,), replicates=2), 2),
+            # 2 cells on 3 CPUs: the costlier cell's replicates are split
+            (3, dict(scenarios=(Scenario.LOG_LINK,)), 3),
         ],
-        ids=["2-workers", "3-workers", "8-workers", "more-cpus-than-units"],
+        ids=["2-workers", "3-workers", "8-workers", "more-cpus-than-units", "split-cell"],
     )
     def test_report_is_identical_for_any_worker_count(
         self, monkeypatch, forks, no_child_left, cpus, overrides, children
@@ -531,7 +533,7 @@ class TestReplicateEngine:
     ):
         # an error that is not a package error stops the study, as it would
         # in one process; the worker's exception comes back pickled
-        def broken(study, cell_index, rep):
+        def broken(*args):
             raise RuntimeError(f"injected in process {os.getpid()}")
 
         monkeypatch.setattr(simulation, "_replicate", broken)
@@ -563,14 +565,79 @@ class TestReplicateEngine:
                 assert got == [(i, i * i) for i in items]
         assert parallel._fork_map(abs, [], 4) == []
 
-    def test_uncalibratable_cell_raises_before_any_replicate(self, monkeypatch):
+    def test_fork_queue_runs_each_item_once_in_a_child(self, no_child_left):
+        parent, items = os.getpid(), list(range(11))
+        for workers in (1, 2, 3, 20):
+            got = parallel._fork_queue(lambda i: (i * i, os.getpid()), items, workers)
+            assert [square for square, _ in got] == [i * i for i in items]
+            pids = {pid for _, pid in got}
+            assert pids == {parent} if workers == 1 else parent not in pids
+        # a failing item stops only its child; the error comes after every child ends
+        with pytest.raises(ZeroDivisionError):
+            parallel._fork_queue(lambda i: 1 / (i - 3), items, 3)
+
+    def test_uncalibratable_cell_raises_before_any_replicate(self, monkeypatch, forks):
         def no_replicate(*args):
             raise AssertionError("a replicate ran before every cell was calibrated")
 
         monkeypatch.setattr(simulation, "_replicate", no_replicate)
+        monkeypatch.setattr(simulation, "_usable_cpus", lambda: 2)
         # no intercept keeps every log-link probability below one at 99.9%
         with pytest.raises(CellInfeasibleError, match="f_c=0.999"):
             run_monte_carlo(**small_grid(scenarios=(Scenario.LOG_LINK,), f_c_grid=(0.05, 0.999)))
+        assert forks == []
+
+    def test_root_search_failing_in_a_worker_names_its_cell(
+        self, monkeypatch, forks, no_child_left
+    ):
+        # the bracket holds, so only the worker's root search finds the fault
+        real = simulation.calibrate_participation_intercept
+        parent = os.getpid()
+
+        def failing_for_one_cell(population, scenario, f_c):
+            if scenario is Scenario.LOGIT_LINK and f_c == 0.05 and os.getpid() != parent:
+                raise NonConvergenceError("injected in a worker")
+            return real(population, scenario, f_c)
+
+        monkeypatch.setattr(simulation, "calibrate_participation_intercept", failing_for_one_cell)
+        with pytest.raises(CellInfeasibleError, match=r"cell \(logit, f_c=0.05\) .*in a worker"):
+            run_on_cpus(monkeypatch, 2, small_grid())
+        assert len(forks) == 2
+
+
+WHOLE = range(5)
+
+
+@pytest.mark.parametrize(
+    "costs, replicates, workers, expected",
+    [
+        # no more workers than cells: whole cells, costliest first
+        ([1.0, 4.0, 2.0, 3.0], 5, 1, [(1, WHOLE), (3, WHOLE), (2, WHOLE), (0, WHOLE)]),
+        ([1.0, 4.0, 2.0, 3.0], 5, 4, [(1, WHOLE), (3, WHOLE), (2, WHOLE), (0, WHOLE)]),
+        # more workers than cells: every cell cut into interleaved replicates
+        (
+            [1.0, 4.0],
+            5,
+            3,
+            [(1, range(0, 5, 2)), (1, range(1, 5, 2)), (0, range(0, 5, 2)), (0, range(1, 5, 2))],
+        ),
+        (
+            [1.0, 4.0],
+            5,
+            8,
+            [(1, range(k, 5, 4)) for k in range(4)] + [(0, range(k, 5, 4)) for k in range(4)],
+        ),
+        # never into more pieces than a cell has replicates
+        ([1.0, 9.0], 2, 6, [(c, range(k, 2, 2)) for c in (1, 0) for k in range(2)]),
+    ],
+    ids=["one-worker", "4-workers-4-cells", "3-workers-2-cells", "8-workers-2-cells", "capped"],
+)
+def test_pieces_are_whole_cells_unless_workers_outnumber_them(costs, replicates, workers, expected):
+    pieces = simulation._pieces(costs, replicates, workers)
+    assert pieces == expected
+    # every replicate of every cell is in exactly one piece
+    covered = sorted((c, rep) for c, reps in pieces for rep in reps)
+    assert covered == [(c, rep) for c in range(len(costs)) for rep in range(replicates)]
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import expit
 
 from pseudoweight import (
@@ -232,3 +234,47 @@ class TestScoreAt:
         # halving lambda removes half the survey-side pull: + 0.5 * sum(d)/2
         assert s_full[0] == pytest.approx((10 * 0.5 - 20 * 0.5) / 12, abs=1e-12)
         assert s_half[0] == pytest.approx(s_full[0] + 0.5 * 20 * 0.5 / 12, abs=1e-12)
+
+
+def square_matrices():
+    """Square matrices the condition check must judge as ``np.linalg.cond``
+    does: full rank, nearly singular, rank deficient and all zero."""
+    entries = st.floats(-1e3, 1e3, allow_nan=False, allow_subnormal=False)
+    full = st.integers(1, 5).flatmap(
+        lambda n: st.lists(entries, min_size=n * n, max_size=n * n).map(
+            lambda v: np.array(v).reshape(n, n)
+        )
+    )
+    scale = st.floats(1e-16, 1.0)
+
+    def near_singular(args):
+        A, s, k = args
+        A = A.copy()
+        A[:, k % A.shape[1]] *= s
+        return A
+
+    def duplicated(A):
+        A = A.copy()
+        A[:, -1] = A[:, 0]
+        return A
+
+    return st.one_of(
+        full,
+        st.tuples(full, scale, st.integers(0, 4)).map(near_singular),
+        full.map(duplicated),
+        st.integers(1, 5).map(lambda n: np.zeros((n, n))),
+        st.just(np.diag([1.0, 1e-12 * (1 + 2.0**-52)])),
+        st.just(np.diag([1.0, 1e-12 * (1 - 2.0**-52)])),
+    )
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(A=square_matrices())
+def test_condition_check_decides_as_numpys_cond(A):
+    refused = np.linalg.cond(A) > solvers._MAX_CONDITION
+    try:
+        solvers._guarded_solve(A, np.ones(A.shape[0]), "test system")
+    except SingularSystemError as exc:
+        assert refused, str(exc)
+    else:
+        assert not refused
