@@ -90,11 +90,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=(Method.ALP,),
         help=f"comma-separated methods from: {_ESTIMATE_METHODS} (default alp)",
     )
-    est.add_argument(
-        "--truncate-pi",
-        action="store_true",
-        help="clamp implied participation rates above one back to one",
-    )
     est.add_argument("--out", required=True, help="report path (.csv or .json)")
     est.add_argument(
         "--dump-weights", default=None, help="optional CSV path for the full weight vectors"
@@ -128,7 +123,6 @@ def _run_estimate(args) -> int:
         stratum_column=args.strata,
         psu_column=args.psu,
         methods=args.methods,
-        truncate_pi=args.truncate_pi,
         dump_weights_path=args.dump_weights,
     )
     rows = run_estimation_job(job)

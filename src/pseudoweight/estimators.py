@@ -30,7 +30,7 @@ All weighted means are ratio (Hajek) estimators, invariant to rescaling the
 weight vector.
 
 Each method's weights, variance arrays and design matrix are defined once,
-in :func:`method_terms`.
+in :func:`estimate_from_fit`.
 """
 
 from __future__ import annotations
@@ -73,15 +73,9 @@ class Method(str, enum.Enum):
 
 @dataclass(frozen=True)
 class MethodSpec:
-    """A method plus its knobs.
-
-    ``truncate_pi_at_one`` clamps implied participation rates above one back
-    to one (weight one) for the odds-transform weights; off by default, the
-    affected count is reported either way.
-    """
+    """A method, as :func:`estimate_each` and :func:`estimate_from_fit` take it."""
 
     method: Method
-    truncate_pi_at_one: bool = False
 
 
 def _check_probs(p: np.ndarray) -> None:
@@ -90,18 +84,14 @@ def _check_probs(p: np.ndarray) -> None:
         raise DomainError("fitted probabilities must lie strictly inside (0, 1)")
 
 
-def alp_weights(p_hat_cohort: np.ndarray, truncate_pi_at_one: bool = False) -> np.ndarray:
+def alp_weights(p_hat_cohort: np.ndarray) -> np.ndarray:
     """Inverse implied participation rate ``(1 - p)/p``.
 
     A fitted probability above one half implies a participation rate above
-    one (weight below one); with ``truncate_pi_at_one`` those rates are
-    clamped to one, i.e. the weight is floored at one.
+    one (weight below one); such units are counted in a warning.
     """
     _check_probs(p_hat_cohort)
-    w = (1.0 - p_hat_cohort) / p_hat_cohort
-    if truncate_pi_at_one:
-        w = np.maximum(w, 1.0)
-    return w
+    return (1.0 - p_hat_cohort) / p_hat_cohort
 
 
 def fdw_weights(p_hat_cohort: np.ndarray) -> np.ndarray:
@@ -183,57 +173,6 @@ def _interval(mu: float, var: float | None):
     return mu - half, mu + half
 
 
-def method_terms(
-    spec: MethodSpec,
-    fit: PropensityFit | None,
-    cohort: CohortSample,
-    survey: SurveySample,
-    true_participation: np.ndarray | None = None,
-    design_matrix=None,
-):
-    """The table of methods: a method's weights, the per-unit arrays
-    ``(a, u, q, factor)`` its :func:`tl_variance` reads (None for naive,
-    which has no variance), the function building its design matrix (None
-    for tw, whose weights are fixed) and its warnings.  ``design_matrix``
-    builds the fit's own, on its survey probabilities; a new one is made by
-    default.  The membership arrays carry the pseudo-weights, so cohort sums
-    that stand in for population totals are inverse-participation weighted.
-    """
-    method = spec.method
-    if method is Method.NAIVE:
-        return np.ones(cohort.n_c), None, None, ()
-    if method is Method.TW:
-        if true_participation is None:
-            raise ValueError("the true-weight method needs the participation probabilities")
-        pi = np.asarray(true_participation, dtype=float)
-        if not np.all((pi > 0) & (pi <= 1)):
-            raise DomainError("true participation probabilities must lie in (0, 1]")
-        return 1.0 / pi, (None, None, pi, 1.0 - pi), None, ()
-    if design_matrix is None:
-        design_matrix = partial(_design_matrix, survey, fit.p_hat_survey, fit.lam)
-    p, warnings = fit.p_hat_cohort, ()
-    if method is Method.CLW:
-        arrays = 1.0 - p, (1.0 - p) / p, p, 1.0 - p
-        return clw_weights(fit.beta, cohort.X), arrays, design_matrix, warnings
-    if method is Method.ALP:
-        n_above = int(np.sum(p > 0.5))
-        if n_above:
-            warnings = (f"pi-hat-above-one: {n_above}",)
-        w = alp_weights(p, spec.truncate_pi_at_one)
-    elif method in (Method.FDW, Method.RDW):
-        w = fdw_weights(p)
-        warnings = ("variance-approximation: membership-form plug-in reused",)
-    elif method is Method.ALPS:
-        w = alps_weights(fit.beta, cohort.X)
-        # the substitution rule evaluates the variance formulas on the
-        # participation scale of the scaled fit, intercept included
-        p = np.exp(cohort.X @ fit.beta)
-        design_matrix = partial(_design_matrix, survey, np.exp(survey.X @ fit.beta), fit.lam)
-    else:  # pragma: no cover - exhaustive
-        raise ValueError(f"unknown method {method!r}")
-    return w, (w * p, w, p, (1.0 - p) * (1.0 - 2.0 * p)), design_matrix, warnings
-
-
 def estimate_from_fit(
     spec: MethodSpec,
     fit: PropensityFit | None,
@@ -243,11 +182,52 @@ def estimate_from_fit(
     design_matrix=None,
 ) -> WeightedEstimate:
     """Turn a propensity fit into a weighted estimate with variance (none
-    for naive): the method's :func:`method_terms`, which reads
-    ``true_participation`` and ``design_matrix``, through :func:`tl_variance`."""
-    w, arrays, design, warnings = method_terms(
-        spec, fit, cohort, survey, true_participation, design_matrix
-    )
+    for naive).  This is the table of methods: a method's weights, the
+    per-unit arrays ``(a, u, q, factor)`` its :func:`tl_variance` reads, the
+    function building its design matrix (none for tw, whose weights are
+    fixed) and its warnings.  ``design_matrix`` builds the fit's own, on its
+    survey probabilities; a new one is made by default.  The membership
+    arrays carry the pseudo-weights, so cohort sums that stand in for
+    population totals are inverse-participation weighted.
+    """
+    method = spec.method
+    arrays = design = None
+    warnings = ()
+    if method is Method.NAIVE:
+        w = np.ones(cohort.n_c)
+    elif method is Method.TW:
+        if true_participation is None:
+            raise ValueError("the true-weight method needs the participation probabilities")
+        pi = np.asarray(true_participation, dtype=float)
+        if not np.all((pi > 0) & (pi <= 1)):
+            raise DomainError("true participation probabilities must lie in (0, 1]")
+        w, arrays = 1.0 / pi, (None, None, pi, 1.0 - pi)
+    else:
+        design = design_matrix
+        if design is None:
+            design = partial(_design_matrix, survey, fit.p_hat_survey, fit.lam)
+        p = fit.p_hat_cohort
+        if method is Method.CLW:
+            w = clw_weights(fit.beta, cohort.X)
+            arrays = 1.0 - p, (1.0 - p) / p, p, 1.0 - p
+        else:
+            if method is Method.ALP:
+                n_above = int(np.sum(p > 0.5))
+                if n_above:
+                    warnings = (f"pi-hat-above-one: {n_above}",)
+                w = alp_weights(p)
+            elif method in (Method.FDW, Method.RDW):
+                w = fdw_weights(p)
+                warnings = ("variance-approximation: membership-form plug-in reused",)
+            elif method is Method.ALPS:
+                w = alps_weights(fit.beta, cohort.X)
+                # the substitution rule evaluates the variance formulas on the
+                # participation scale of the scaled fit, intercept included
+                p = np.exp(cohort.X @ fit.beta)
+                design = partial(_design_matrix, survey, np.exp(survey.X @ fit.beta), fit.lam)
+            else:  # pragma: no cover - exhaustive
+                raise ValueError(f"unknown method {method!r}")
+            arrays = w * p, w, p, (1.0 - p) * (1.0 - 2.0 * p)
     mu = hajek_mean(cohort.y, w)
     var = None
     if arrays is not None:
@@ -256,7 +236,7 @@ def estimate_from_fit(
         var = vb.v_total
     lo, hi = _interval(mu, var)
     return WeightedEstimate(
-        method=spec.method.value,
+        method=method.value,
         mu_hat=mu,
         weights=w,
         var_hat=var,

@@ -296,7 +296,6 @@ class EstimationJob:
     stratum_column: str | None = None
     psu_column: str | None = None
     methods: tuple = (Method.ALP,)
-    truncate_pi: bool = False
     dump_weights_path: str | None = None
 
 
@@ -353,7 +352,7 @@ def run_estimation_job(job: EstimationJob):
     if survey.y is not None:
         mu_ref = hajek_mean(survey.y, survey.d)
 
-    specs = [MethodSpec(m, truncate_pi_at_one=job.truncate_pi) for m in methods]
+    specs = list(map(MethodSpec, methods))
     groups = {}  # spec indices by fit key; a key that raises is a group of its own
     for i, spec in enumerate(specs):
         try:

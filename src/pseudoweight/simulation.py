@@ -431,7 +431,7 @@ def _pieces(costs, replicates: int, workers: int):
     costliest first: whole cells, unless workers outnumber cells, when each
     cell is cut into the fewest pieces that give every worker one (piece
     ``k`` of ``n`` holding replicates ``k, k + n, ...``)."""
-    n = min(replicates, -(-workers // len(costs)))
+    n = min(replicates, -(-workers // max(len(costs), 1)))
     order = sorted(range(len(costs)), key=lambda c: -costs[c])
     return [(c, range(k, replicates, n)) for c in order for k in range(n)]
 
@@ -457,6 +457,7 @@ def _cell_results(cell: ScenarioConfig, methods, outcomes, mu: float):
     """Reduce one cell's replicate outcomes, in replicate order, to one
     :class:`CellResult` per method."""
     results = []
+    mean_cohort_size = float(np.mean([n_c for n_c, _ in outcomes]))
     for i, m in enumerate(methods):
         est, var, hits, warn_counts = [], [], [], {}
         for _, per_method in outcomes:
@@ -486,7 +487,7 @@ def _cell_results(cell: ScenarioConfig, methods, outcomes, mu: float):
                 method=m.value,
                 n_replicates=len(est),
                 n_excluded=len(outcomes) - len(est),
-                mean_cohort_size=float(np.mean([n_c for n_c, _ in outcomes])),
+                mean_cohort_size=mean_cohort_size,
                 warning_counts=tuple(sorted(warn_counts.items())),
                 **vars(metrics),
             )

@@ -12,7 +12,7 @@ rows (``b = 0`` when the weights are treated as fixed), the cohort
 component sums ``factor * ((y - mu)/q - b.x)^2`` over the squared weight
 total, and the design component is ``b' D b``.  Methods differ only in the
 per-unit arrays ``(a, u, q, factor)`` and the matrix ``D``; the table of
-each method's lives in :func:`pseudoweight.estimators.method_terms`.
+each method's lives in :func:`pseudoweight.estimators.estimate_from_fit`.
 
 The stratified and iid designs share one with-replacement PSU formula over
 integer PSU codes: the stratified design reads them from the survey's
@@ -56,7 +56,7 @@ def compute_b_hat(
 
     Solves ``(sum a x x') b = sum u (y - mu) x`` over cohort rows without
     forming an explicit inverse; each method's per-unit arrays ``a`` and
-    ``u`` are given by :func:`pseudoweight.estimators.method_terms`.
+    ``u`` are given by :func:`pseudoweight.estimators.estimate_from_fit`.
     """
     X = cohort.X
     A = X.T @ (a[:, None] * X)

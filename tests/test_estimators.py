@@ -41,13 +41,6 @@ class TestWeightFormulas:
         with pytest.raises(DomainError):
             alp_weights(np.array([np.nan]))
 
-    def test_alp_truncation_clamps_rates_above_one(self):
-        p = np.array([0.2, 0.6, 0.9])
-        w = alp_weights(p, truncate_pi_at_one=True)
-        np.testing.assert_allclose(w, [4.0, 1.0, 1.0], atol=1e-12)
-        w_raw = alp_weights(p)
-        assert w_raw[1] < 1.0 and w_raw[2] < 1.0
-
     def test_fdw_examples(self):
         np.testing.assert_allclose(fdw_weights(np.array([1 / 3])), [3.0], atol=1e-12)
         np.testing.assert_allclose(fdw_weights(np.array([0.5])), [2.0], atol=1e-12)
@@ -331,6 +324,29 @@ class TestEstimateEach:
         assert all(p.X is X and p.R is R for p in pooled)
         for a, b in zip(alone, together):
             assert repr(a) == repr(b)
+
+    @pytest.mark.parametrize("kind", ["poisson", "stratified", "iid"])
+    def test_own_design_matrix_matches_the_shared_one_bit_for_bit(self, kind):
+        # estimate_from_fit builds its fit's design matrix when none is
+        # passed; estimate_each passes one cached matrix per fit
+        from pseudoweight import DesignInfo
+
+        cohort, survey = synthetic_pair()
+        labels = {}
+        if kind == "stratified":
+            labels = dict(stratum=np.arange(survey.n_p) % 3, psu=np.arange(survey.n_p) % 5)
+        survey = SurveySample(X=survey.X, d=survey.d, design=DesignInfo(kind=kind, **labels))
+        pi = np.linspace(0.05, 0.6, cohort.n_c)
+        methods = tuple(Method)
+        shared = estimate_each([MethodSpec(m) for m in methods], cohort, survey, pi)
+        for m, b in zip(methods, shared):
+            fit = fit_for_method(m, cohort, survey)
+            a = estimate_from_fit(MethodSpec(m), fit, cohort, survey, true_participation=pi)
+            assert (a.method, a.mu_hat, a.var_hat, a.ci_low, a.ci_high, a.warnings) == (
+                b.method, b.mu_hat, b.var_hat, b.ci_low, b.ci_high, b.warnings
+            )
+            assert a.weights.tobytes() == b.weights.tobytes()
+            assert m is Method.NAIVE or a.var_hat > 0
 
     @pytest.mark.parametrize("kind", ["poisson", "stratified", "iid"])
     def test_design_kind_given_by_its_value_estimates_the_same(self, kind):

@@ -672,40 +672,6 @@ class TestCli:
         alp_w = np.array([float(l.split(",")[1]) for l in w_lines[1:]])
         np.testing.assert_allclose(alp_w, 1.0, atol=1e-6)
 
-    def test_truncate_pi_floors_alp_weights_at_one(self, tmp_path):
-        # a cohort as large as half the survey weight total, shifted in x:
-        # the right tail's fitted membership probabilities exceed one half
-        rng = np.random.default_rng(8)
-        xc = rng.normal(1.0, 1.0, 40)
-        yc = 1.0 + xc + rng.normal(size=40)
-        xs = rng.normal(size=40)
-        write(tmp_path / "c.csv", "y,x1\n" + "".join(
-            f"{a!r},{b!r}\n" for a, b in zip(yc.tolist(), xc.tolist())))
-        write(tmp_path / "s.csv", "x1,w\n" + "".join(f"{a!r},2.0\n" for a in xs.tolist()))
-        rows = {}
-        for flag in ((), ("--truncate-pi",)):
-            out = tmp_path / f"r{len(flag)}.json"
-            argv = [
-                "estimate",
-                "--cohort", str(tmp_path / "c.csv"),
-                "--survey", str(tmp_path / "s.csv"),
-                "--outcome", "y",
-                "--covariates", "x1",
-                "--weight", "w",
-                "--methods", "alp",
-                "--out", str(out),
-            ]
-            assert main(argv + list(flag)) == 0
-            (rows[bool(flag)],) = json.loads(out.read_text())
-        assert rows[False]["w_min"] < 1.0
-        assert rows[True]["w_min"] == 1.0
-        above = [
-            w for w in rows[False]["warnings"].split("; ")
-            if w.startswith("pi-hat-above-one: ")
-        ]
-        assert len(above) == 1 and int(above[0].partition(": ")[2]) > 0
-        assert above[0] in rows[True]["warnings"].split("; ")
-
     def test_estimate_iid_design_matches_library(self, tmp_path):
         (cohort_path, survey_path), (yc, xc, xs, d) = random_pair_files(tmp_path)
         out = tmp_path / "report.csv"
@@ -937,6 +903,20 @@ class TestCli:
         assert out1.read_bytes() == out2.read_bytes()
         header = out1.read_text().splitlines()[0]
         assert header.startswith("scenario,f_c,method,pct_rb,v_emp,vr,mse,cp")
+
+    @pytest.mark.parametrize("key", ["f_c_grid", "scenarios"])
+    def test_simulate_with_no_cells_refuses_an_empty_report(self, tmp_path, capsys, key):
+        cfg = {"population_size": 2000, "replicates": 3, key: []}
+        cfg_path = write(tmp_path / "sim.json", json.dumps(cfg))
+        out = tmp_path / "r.csv"
+        assert main(["simulate", "--config", cfg_path, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert json.loads(err) == {
+            "error": "IoError",
+            "message": "refusing to write an empty simulation report",
+        }
+        assert not out.exists()
 
     def test_simulate_rejects_unknown_config_keys(self, tmp_path, capsys):
         cfg_path = write(tmp_path / "sim.json", json.dumps({"not_a_key": 1}))

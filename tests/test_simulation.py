@@ -629,8 +629,13 @@ WHOLE = range(5)
         ),
         # never into more pieces than a cell has replicates
         ([1.0, 9.0], 2, 6, [(c, range(k, 2, 2)) for c in (1, 0) for k in range(2)]),
+        # an empty grid has no pieces, whatever the worker count
+        ([], 5, 0, []),
     ],
-    ids=["one-worker", "4-workers-4-cells", "3-workers-2-cells", "8-workers-2-cells", "capped"],
+    ids=[
+        "one-worker", "4-workers-4-cells", "3-workers-2-cells", "8-workers-2-cells", "capped",
+        "no-cells",
+    ],
 )
 def test_pieces_are_whole_cells_unless_workers_outnumber_them(costs, replicates, workers, expected):
     pieces = simulation._pieces(costs, replicates, workers)
@@ -638,6 +643,18 @@ def test_pieces_are_whole_cells_unless_workers_outnumber_them(costs, replicates,
     # every replicate of every cell is in exactly one piece
     covered = sorted((c, rep) for c, reps in pieces for rep in reps)
     assert covered == [(c, rep) for c in range(len(costs)) for rep in range(replicates)]
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+@pytest.mark.parametrize(
+    "overrides",
+    [dict(f_c_grid=()), dict(scenarios=()), dict(methods=())],
+    ids=["no-f_c", "no-scenarios", "no-methods"],
+)
+def test_grid_without_cells_or_methods_gives_an_empty_report(monkeypatch, cpus, overrides):
+    report = run_on_cpus(monkeypatch, cpus, small_grid(**overrides))
+    assert report.cells == ()
+    assert report.n_replicates == 3
 
 
 @pytest.mark.parametrize(
