@@ -55,7 +55,7 @@ from .samples import (
     rdw_rescale_factor,
     validate_paired_samples,
 )
-from .solvers import fit_clw_score, fit_pooled_logistic
+from .solvers import _inside_unit_interval, fit_clw_score, fit_pooled_logistic
 from .variance import _design_matrix, tl_variance
 
 Z_95 = 1.96
@@ -80,7 +80,7 @@ class MethodSpec:
 
 def _check_probs(p: np.ndarray) -> None:
     p = np.asarray(p)
-    if p.size == 0 or np.any(p <= 0.0) or np.any(p >= 1.0) or not np.all(np.isfinite(p)):
+    if p.size == 0 or not _inside_unit_interval(p):
         raise DomainError("fitted probabilities must lie strictly inside (0, 1)")
 
 
@@ -126,10 +126,10 @@ def hajek_mean(y: np.ndarray, weights: np.ndarray) -> float:
         raise EmptyInputError("hajek_mean needs at least one observation")
     if y.shape != w.shape:
         raise ValueError("y and weights must have the same length")
-    total = float(np.sum(w))
+    total = float(w.sum())
     if not total > 0:
         raise EmptyInputError("weight total must be positive")
-    return float(np.sum(w * y) / total)
+    return float((w * y).sum() / total)
 
 
 def fit_key(method: Method, cohort: CohortSample, survey: SurveySample):

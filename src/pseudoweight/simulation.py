@@ -30,7 +30,7 @@ from __future__ import annotations
 import enum
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import expit
@@ -108,6 +108,9 @@ class FinitePopulation:
     X: np.ndarray
     y: np.ndarray
     mu: float
+    #: ``(scenario, slopes)`` -> the linear predictor without intercept and the
+    #: mean rate at each intercept tried, so no root search evaluates one twice
+    link_means: dict = field(default_factory=dict, compare=False, repr=False)
 
     @property
     def N(self) -> int:
@@ -229,11 +232,16 @@ def _intercept_equation(population, scenario, f_c_target, slopes=PARTICIPATION_S
     feasibility boundary (largest intercept keeping every rate below one)."""
     if not 0.0 < f_c_target < 1.0:
         raise InfeasibleTargetError("participation-rate target must lie in (0, 1)")
-    eta = population.X[:, 1:] @ np.asarray(slopes, dtype=float)
+    key = (scenario, tuple(slopes))
+    if key not in population.link_means:
+        population.link_means[key] = population.X[:, 1:] @ np.asarray(slopes, dtype=float), {}
+    eta, means = population.link_means[key]
     link = np.exp if scenario is Scenario.LOG_LINK else expit
 
     def g(c):
-        return link(c + eta).sum() / population.N - f_c_target
+        if c not in means:
+            means[c] = link(c + eta).sum() / population.N
+        return means[c] - f_c_target
 
     if link is expit:
         return g, -40.0, 40.0
@@ -408,8 +416,12 @@ def _replicate(study: _Study, cell: ScenarioConfig, pi_c: np.ndarray, rep: int):
     rng = _replicate_seed(study.base_seed, cell.scenario, cell.f_c_target, rep)
     inc_c = poisson_sample(pi_c, rng)
     inc_p = poisson_sample(study.pi_p, rng)
-    cohort = CohortSample(y=population.y[inc_c], X=population.X[inc_c])
-    survey = SurveySample(population.X[inc_p], study.d[inc_p], DesignInfo(DesignKind.POISSON))
+    X_c, X_p = population.X.take(inc_c, axis=0), population.X.take(inc_p, axis=0)
+    y_c, d_p = population.y.take(inc_c), study.d.take(inc_p)
+    for a in (X_c, X_p, y_c, d_p):  # read-only, so the sample containers keep them uncopied
+        a.flags.writeable = False
+    cohort = CohortSample(y=y_c, X=X_c)
+    survey = SurveySample(X_p, d_p, DesignInfo(DesignKind.POISSON))
     results = estimate_each(study.specs, cohort, survey, true_participation=pi_c[inc_c])
     return cohort.n_c, tuple(
         type(r).__name__

@@ -25,6 +25,7 @@ one half.
 from __future__ import annotations
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 from scipy.special import expit
 
 from .errors import InfeasibleTotalsError, NonConvergenceError, SingularSystemError
@@ -44,21 +45,29 @@ MAX_ITER = 50
 def _guarded_solve(A: np.ndarray, rhs: np.ndarray, label: str) -> np.ndarray:
     """Solve ``A x = rhs``, refusing non-finite or rank-deficient systems
     rather than falling back to a pseudo-inverse.  ``label`` names the
-    system in the error message."""
-    if not np.all(np.isfinite(A)):
+    system in the error message.  It calls ``np.linalg``'s own gufuncs, so
+    the bits are the same; their NaN, where ``np.linalg`` raises, is refused."""
+    if not np.isfinite(A).all():
         raise SingularSystemError(f"{label} contains non-finite entries")
+    with np.errstate(all="ignore"):
+        s = _umath_linalg.svd(A, signature="d->d").tolist()
+        x = _umath_linalg.solve1(A, rhs, signature="dd->d")
     # np.linalg.cond's ratio, whose 0/0 it reads as infinite
-    s = np.linalg.svd(A, compute_uv=False).tolist()
-    if s[-1] == 0 or s[0] / s[-1] > _MAX_CONDITION:
+    if not (s[-1] > 0 and s[0] / s[-1] <= _MAX_CONDITION and np.isfinite(x).all()):
         raise SingularSystemError(
             f"{label} is rank deficient (condition number exceeds "
             f"{_MAX_CONDITION:g}); check for collinear covariates"
         )
-    return np.linalg.solve(A, rhs)
+    return x
+
+
+def _inside_unit_interval(p: np.ndarray) -> bool:
+    """Whether every entry lies in (0, 1), which NaN and infinities do not."""
+    return bool(((p > 0.0) & (p < 1.0)).all())
 
 
 def _check_probabilities(p: np.ndarray, what: str) -> None:
-    if p.size and not np.all((p > 0.0) & (p < 1.0)):
+    if not _inside_unit_interval(p):
         raise NonConvergenceError(
             f"fitted {what} probabilities reached 0 or 1 exactly; "
             "the linear predictor is saturated (separation?)"

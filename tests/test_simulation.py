@@ -1,6 +1,7 @@
 import functools
 import math
 import os
+import types
 
 import numpy as np
 import pytest
@@ -27,7 +28,7 @@ from pseudoweight import (
     poisson_sample,
     run_monte_carlo,
 )
-from pseudoweight import estimators, parallel, simulation
+from pseudoweight import estimators, parallel, simulation, solvers
 from pseudoweight.simulation import FinitePopulation
 
 ANALYTIC_MEAN = 3.978  # from the covariate recipe's moments
@@ -96,6 +97,30 @@ class TestParticipationCalibration:
         # strictly below one under the log link
         with pytest.raises(InfeasibleTargetError):
             calibrate_participation_intercept(pop, Scenario.LOG_LINK, 0.999)
+
+
+def test_bracket_check_values_are_not_evaluated_again(monkeypatch):
+    """The bracket check the study runs before forking fills the cell's two
+    ends, so its root search reads them back; the root keeps its bits."""
+    pop = flat_population()
+    args = pop, Scenario.LOGIT_LINK, 0.05
+    simulation._brentq(*simulation._intercept_equation(*args), math.inf)
+    ((_, means),) = pop.link_means.values()
+    assert sorted(means) == [-40.0, 40.0]
+
+    evaluated = []
+
+    def counting_expit(x):
+        evaluated.append(x)
+        return expit(x)
+
+    monkeypatch.setattr(simulation, "expit", counting_expit)
+    got = calibrate_participation_intercept(*args)
+    # one link evaluation per intercept the search added, none at the ends
+    assert evaluated and len(evaluated) == len(means) - 2
+    monkeypatch.undo()
+    cold = calibrate_participation_intercept(flat_population(), Scenario.LOGIT_LINK, 0.05)
+    assert float(got).hex() == float(cold).hex()
 
 
 # The in-package root finder is checked against scipy's brentq, the
@@ -402,6 +427,37 @@ def test_package_error_in_one_estimate_excludes_only_that_replicate(monkeypatch)
         else:
             # alp shares fdw's fit and must not lose its replicate
             assert after == before
+
+
+@pytest.mark.parametrize("gufunc", ["svd", "solve1"])
+def test_failed_linear_solve_excludes_only_that_replicate(monkeypatch, gufunc):
+    # the first guarded solve is alp's first Newton step in replicate 0; an
+    # SVD that does not converge or an exact zero pivot gives NaN there
+    monkeypatch.setattr(simulation, "_usable_cpus", lambda: 1)
+    study = dict(
+        population_config=PopulationConfig(N=4000, seed=17),
+        scenarios=(Scenario.LOG_LINK,),
+        f_c_grid=(0.05,),
+        methods=(Method.NAIVE, Method.ALP, Method.CLW),
+        replicates=4,
+        base_seed=5,
+    )
+    baseline = run_monte_carlo(**study)
+    real = solvers._umath_linalg
+    calls = []
+
+    def nan_on_first_call(*args, **kwargs):
+        calls.append(args)
+        out = getattr(real, gufunc)(*args, **kwargs)
+        return out * np.nan if len(calls) == 1 else out
+
+    patched = {"svd": real.svd, "solve1": real.solve1, gufunc: nan_on_first_call}
+    monkeypatch.setattr(solvers, "_umath_linalg", types.SimpleNamespace(**patched))
+    naive, alp, clw = run_monte_carlo(**study).cells
+
+    assert len(calls) > 1
+    assert (alp.n_replicates, alp.n_excluded) == (3, 1)
+    assert (naive, clw) == (baseline.cells[0], baseline.cells[2])
 
 
 @pytest.mark.parametrize("replicates", [1, 0, -3])

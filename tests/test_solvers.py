@@ -1,11 +1,16 @@
+import types
+from contextlib import nullcontext
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.special import expit
 
 from pseudoweight import (
     CohortSample,
+    DomainError,
     FitFlavor,
     InfeasibleTotalsError,
     Method,
@@ -13,6 +18,7 @@ from pseudoweight import (
     SingularSystemError,
     SurveySample,
     build_pooled_matrix,
+    estimators,
     fit_clw_score,
     fit_pooled_logistic,
     solvers,
@@ -272,9 +278,46 @@ def square_matrices():
 @given(A=square_matrices())
 def test_condition_check_decides_as_numpys_cond(A):
     refused = np.linalg.cond(A) > solvers._MAX_CONDITION
+    rhs = np.ones(A.shape[0])
     try:
-        solvers._guarded_solve(A, np.ones(A.shape[0]), "test system")
+        x = solvers._guarded_solve(A, rhs, "test system")
     except SingularSystemError as exc:
         assert refused, str(exc)
     else:
         assert not refused
+        assert x.tobytes() == np.linalg.solve(A, rhs).tobytes()
+
+
+@pytest.mark.parametrize("gufunc", ["svd", "solve1"])
+def test_nan_from_a_gufunc_is_refused_not_a_linalg_error(monkeypatch, gufunc):
+    # np.linalg raises LinAlgError where these gufuncs give NaN: an SVD that
+    # does not converge, or an exact zero pivot
+    real = solvers._umath_linalg
+    patched = {"svd": real.svd, "solve1": real.solve1}
+    patched[gufunc] = lambda *args, **kwargs: getattr(real, gufunc)(*args, **kwargs) * np.nan
+    monkeypatch.setattr(solvers, "_umath_linalg", types.SimpleNamespace(**patched))
+    with pytest.raises(SingularSystemError, match="test system"):
+        solvers._guarded_solve(np.eye(3), np.ones(3), "test system")
+
+
+#: Entries on and around the edges of the open unit interval.
+EDGES = [0.0, -0.0, 1.0, np.nan, np.inf, -np.inf, 5e-324, -5e-324, 2.2e-308, 1 - 2**-53, 1 + 2**-52]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    p=arrays(
+        np.float64,
+        st.integers(0, 6),
+        elements=st.one_of(st.sampled_from(EDGES), st.floats(-0.5, 1.5, allow_subnormal=True)),
+    )
+)
+def test_both_probability_guards_decide_as_they_did(p):
+    """The one open-interval test behind the estimators' and the solvers'
+    checks, against the separate tests each made before."""
+    outside = np.any(p <= 0.0) or np.any(p >= 1.0) or not np.all(np.isfinite(p))
+    with pytest.raises(DomainError) if p.size == 0 or outside else nullcontext():
+        estimators._check_probs(p)
+    saturated = p.size and not np.all((p > 0.0) & (p < 1.0))
+    with pytest.raises(NonConvergenceError) if saturated else nullcontext():
+        solvers._check_probabilities(p, "test")
