@@ -8,8 +8,10 @@ trees to compare:
 
 The inputs are the ``estimate-clustered`` benchmark files of seeds 1 and 7,
 made by this checkout's ``perfbench/workloads.py`` (imported, not changed),
-plus a copy of each survey without its outcome column.  On each tree the
-script runs, each in its own process:
+plus two copies of each survey: one without its outcome column, and one
+with a quoted label cell and CRLF line ends, which ``estimate`` reads a
+whole file at a time instead of in byte spans.  On each tree the script
+runs, each in its own process:
 
 * ``pseudoweight estimate`` with six methods under the ``poisson``,
   ``stratified`` and ``iid`` designs, on both surveys, writing a CSV and a
@@ -49,6 +51,15 @@ def _drop_column(text, name):
     return "".join(",".join(row[:j] + row[j + 1 :]) + "\n" for row in rows)
 
 
+def _quoted_crlf(text):
+    """``text`` with the last cell of its first data row quoted and every
+    line ended by CRLF."""
+    lines = text.splitlines()
+    head, last = lines[1].rsplit(",", 1)
+    lines[1] = f'{head},"{last}"'
+    return "".join(line + "\r\n" for line in lines)
+
+
 def make_inputs(directory):
     """Write the input files; returns ``(name, cohort, survey)`` triples."""
     spec = workloads.ESTIMATE_SPECS["estimate-clustered"]
@@ -58,9 +69,14 @@ def make_inputs(directory):
         cohort = directory / f"cohort-s{seed}.csv"
         cohort.write_text(workloads.cohort_csv(inputs), encoding="utf-8")
         survey_text = workloads.survey_csv(inputs)
-        for variant, text in (("y", survey_text), ("noy", _drop_column(survey_text, "y"))):
+        variants = (
+            ("y", survey_text),
+            ("noy", _drop_column(survey_text, "y")),
+            ("quoted", _quoted_crlf(survey_text)),
+        )
+        for variant, text in variants:
             survey = directory / f"survey-s{seed}-{variant}.csv"
-            survey.write_text(text, encoding="utf-8")
+            survey.write_text(text, encoding="utf-8", newline="")
             pairs.append((f"s{seed}-{variant}", str(cohort), str(survey)))
     return pairs
 

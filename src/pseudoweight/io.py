@@ -16,6 +16,12 @@ pass.  Each block's declared cells are split into columns, trimmed, rid of
 rows with a blank cell, and each numeric column parsed by ``float`` in one
 call, which keeps the peak memory near that of the finished arrays.
 
+An estimation job on two or more CPUs cuts the bytes of two regular files
+with no quote, CR or NUL byte into one span per CPU (of ``_SPAN_BYTES`` or
+more), read in blocks in forked children and this process, and reads a
+file whole after them only when one of its blocks cannot be split or
+parsed.  Other files are read whole, the cohort in a forked child.
+
 Reports are emitted deterministically: same results, byte-identical file.
 """
 
@@ -24,10 +30,12 @@ from __future__ import annotations
 import csv
 import json
 import math
+import os
 import warnings as _warnings
 from contextlib import contextmanager
 from dataclasses import dataclass
-from itertools import chain, compress, islice, repeat
+from functools import partial
+from itertools import accumulate, chain, compress, islice, repeat
 from operator import itemgetter, not_
 
 import numpy as np
@@ -103,16 +111,16 @@ _BLOCK = 4096
 
 
 def _split_plain(lines, width):
-    """The cells of ``lines``, line after line, split at every comma; None
-    unless ``csv.reader`` reads them the same: no quote, carriage return or
-    NUL, no empty line, ``width - 1`` commas on every line and no line
-    longer than the ``csv`` field limit."""
+    """The cells of ``lines``, ``width`` a line, split at every comma; a
+    short line gets empty cells and a long one loses its last, which no
+    declared column reads.  None unless ``csv.reader`` reads them so: no
+    quote, carriage return or NUL, and no line over the ``csv`` field limit."""
     text = "".join(lines)
-    odd = any(c in text for c in '"\r\0') or "\n" in lines
-    if odd or set(map(str.count, lines, repeat(","))) - {width - 1}:
+    if any(c in text for c in '"\r\0') or max(map(len, lines), default=0) > csv.field_size_limit():
         return None
-    if max(map(len, lines), default=0) > csv.field_size_limit():
-        return None
+    if set(map(str.count, lines, repeat(","))) - {width - 1}:
+        pad = [""] * width
+        return [c for line in lines for c in (line.rstrip("\n").split(",") + pad)[:width]]
     return text.replace("\n", ",").split(",")
 
 
@@ -151,6 +159,31 @@ def _parse_block(path, numeric, cells, index, width, lines, skipped):
     return n, numbers, columns[len(numeric) :]
 
 
+def _parse_plain(path, numeric, index, width, block, read, blocks, skipped):
+    """Parse ``block``, lines that follow a file's ``read``-th, into
+    ``blocks`` (:func:`_parse_block`) when :func:`_split_plain` splits its
+    lines that are not empty; False, with nothing parsed, when it does not."""
+    lines = range(read + 1, read + len(block) + 1)
+    if "\n" in block:  # an empty line is no record, as for csv.reader
+        lines = [i for i, line in zip(lines, block) if line != "\n"]
+        block = [line for line in block if line != "\n"]
+    cells = _split_plain(block, width)
+    if cells is not None:
+        blocks.append(_parse_block(path, numeric, cells, index, width, lines, skipped))
+    return cells is not None
+
+
+def _positions(path, header, numeric, labels, optional):
+    """The ``numeric`` names :func:`_read_columns` keeps, and the header
+    position of each of them and of ``labels``."""
+    position = {h.strip(): i for i, h in enumerate(header)}
+    numeric = [c for c in numeric if c in position or c not in optional]
+    missing = [c for c in numeric + list(labels) if c not in position]
+    if missing:
+        raise MissingColumnError(f"{path} lacks declared column(s): {', '.join(missing)}")
+    return numeric, [position[c] for c in numeric + list(labels)]
+
+
 def _read_columns(path, numeric, labels=(), optional=()):
     """Read the declared columns of a delimited file in one pass.
 
@@ -177,15 +210,8 @@ def _read_columns(path, numeric, labels=(), optional=()):
             header = next(reader, None)
             if header is None:
                 raise EmptyFileError(f"{path} has no header row")
-            position = {h.strip(): i for i, h in enumerate(header)}
-            numeric = [c for c in numeric if c in position or c not in optional]
-            names = numeric + list(labels)
-            missing = [c for c in names if c not in position]
-            if missing:
-                raise MissingColumnError(
-                    f"{path} lacks declared column(s): {', '.join(missing)}"
-                )
-            index, width, m = [position[c] for c in names], len(header), len(names)
+            numeric, index = _positions(path, header, numeric, labels, optional)
+            width, m = len(header), len(index)
             # Plain blocks of lines are split by str.split; the first block
             # that is not, and the rest of the file, go through csv.reader.
             read, tail = reader.line_num, fh
@@ -195,12 +221,9 @@ def _read_columns(path, numeric, labels=(), optional=()):
                     block.extend(islice(fh, _BLOCK))
                 except UnicodeDecodeError as exc:
                     tail = _raising(exc)  # read after the lines before the bad byte
-                split = _split_plain(block, width)
-                if split is None:
+                if not _parse_plain(path, numeric, index, width, block, read, blocks, skipped):
                     break
                 n, block = len(block), []
-                plain = range(read + 1, read + n + 1)
-                blocks.append(_parse_block(path, numeric, split, index, width, plain, skipped))
                 read += n
                 if n < _BLOCK:
                     break
@@ -222,6 +245,11 @@ def _read_columns(path, numeric, labels=(), optional=()):
                 _parse_block(path, numeric, cells, range(m), m, lines, skipped)
             raise _unreadable(path, read + reader.line_num, exc) from exc
     blocks.append(_parse_block(path, numeric, cells, range(m), m, lines, skipped))
+    return _merge(path, numeric, labels, blocks, skipped)
+
+
+def _merge(path, numeric, labels, blocks, skipped):
+    """:func:`_read_columns`' result from a file's parsed blocks and skipped lines."""
     n = sum(b[0] for b in blocks)
     if not n and not skipped:
         raise EmptyFileError(f"{path} has a header but no data rows")
@@ -231,7 +259,7 @@ def _read_columns(path, numeric, labels=(), optional=()):
             f"fields (rows {', '.join(map(str, skipped[:10]))}"
             + (", ..." if len(skipped) > 10 else "")
             + ")",
-            stacklevel=3,
+            stacklevel=4,
         )
     if not n:
         raise EmptyFileError(f"{path}: every data row was missing a declared field")
@@ -243,6 +271,77 @@ def _read_columns(path, numeric, labels=(), optional=()):
     return dict(zip(numeric, columns)), dict(zip(labels, label_columns))
 
 
+#: The fewest bytes worth a span: parsing them takes about as long as
+#: forking a worker and reaping it.
+_SPAN_BYTES = 1 << 17
+
+
+def _read_piece(path, numeric, index, width, lo, hi):
+    """``(blocks, skipped, lines)`` of the data lines of a file that start
+    from byte ``lo``, past its header, up to byte ``hi``, lines counted from
+    the piece's first; None when a block is not plain or does not parse."""
+    blocks, skipped, n = [], [], 0
+    try:
+        with open(path, "rb") as fh:  # bytes, so that a span ends at a byte offset
+            fh.seek(lo - 1)
+            lo += len(fh.readline()) - 1  # the first line starting at or after lo
+            while lo < hi and (block := list(islice(fh, _BLOCK))):
+                lo += sum(map(len, block))
+                while lo - len(block[-1]) >= hi:  # lines starting in the next span
+                    lo -= len(block.pop())
+                block = list(map(bytes.decode, block))
+                if not _parse_plain(path, numeric, index, width, block, n, blocks, skipped):
+                    return None
+                n += len(block)
+    except (OSError, ValueError, PseudoweightError):
+        return None
+    return blocks, skipped, n
+
+
+def _read_spans(files, cpus):
+    """For each of ``files``, the arguments of :func:`_read_columns`, a
+    function that reads the file as that does, the first call reading every
+    file's spans (see the module docstring); None when they are not cut."""
+    sizes = [os.path.getsize(f[0]) if os.path.isfile(f[0]) else -1 for f in files]
+    spans, heads, parts = min(cpus, sum(sizes) // _SPAN_BYTES), [], []
+    if spans < 2 or -1 in sizes:  # absent, or a pipe, which could not be read again
+        return None
+    try:
+        for path, numeric, labels, optional in files:
+            with open(path, "rb") as fh:
+                for chunk in iter(partial(fh.read, 1 << 16), b""):
+                    if any(c in chunk for c in b'"\r\0'):
+                        return None
+                fh.seek(0)
+                line = fh.readline().decode()
+                if not line.endswith("\n") or len(line) > csv.field_size_limit():
+                    return None
+                numeric, index = _positions(path, line.split(","), numeric, labels, optional)
+                heads.append((path, numeric, index, line.count(",") + 1, fh.tell()))
+    except (OSError, ValueError, PseudoweightError):
+        return None  # read whole, to raise as the one-pass reader does
+    ends = list(accumulate(sizes, initial=0))
+
+    def span(k):
+        a, b = ends[-1] * k // spans, ends[-1] * (k + 1) // spans
+        return [
+            _read_piece(*head[:4], max(a - g, head[4]), min(b - g, size))
+            for head, g, size in zip(heads, ends, sizes)
+        ]
+
+    def read(f, path, numeric, labels=(), optional=()):
+        if not parts:
+            parts.extend(zip(*_fork_map(span, list(range(spans)), spans)))
+        if None in parts[f]:
+            return _read_columns(path, numeric, labels, optional)
+        before = accumulate((piece[2] for piece in parts[f]), initial=1)  # the header's line
+        skipped = [b + line for piece, b in zip(parts[f], before) for line in piece[1]]
+        blocks = [block for piece in parts[f] for block in piece[0]]
+        return _merge(path, heads[f][1], labels, blocks, skipped)
+
+    return [partial(read, f) for f in range(len(files))]
+
+
 def ingest_delimited(
     path,
     covariates,
@@ -251,6 +350,8 @@ def ingest_delimited(
     stratum: str | None = None,
     psu: str | None = None,
     design: DesignKind = DesignKind.POISSON,
+    *,
+    read_columns=None,
 ):
     """Load a cohort or survey sample from a delimited file.
 
@@ -258,14 +359,12 @@ def ingest_delimited(
     ``outcome`` is optional: it is read when the header has it and is None
     otherwise.  Without one a :class:`CohortSample` is built and
     ``outcome`` is required.  An intercept column of ones is prepended to
-    the declared covariates.
+    the declared covariates.  ``read_columns``, when given, reads the file
+    in place of :func:`_read_columns`, with its arguments and results.
     """
     covariates = list(covariates)
-    if not covariates:
-        raise MissingColumnError(f"{path}: no covariate columns declared")
-    needed = covariates + [c for c in (outcome, weight) if c]
-    data, labels = _read_columns(
-        path, needed, [c for c in (stratum, psu) if c], (outcome,) if weight else ()
+    data, labels = (read_columns or _read_columns)(
+        path, *_declared(path, covariates, outcome, weight, stratum, psu)
     )
     X = np.column_stack(
         [np.ones(len(data[covariates[0]]))] + [data[c] for c in covariates]
@@ -281,6 +380,15 @@ def ingest_delimited(
     if not outcome:
         raise MissingColumnError("a cohort file needs an outcome column")
     return CohortSample(y=data[outcome], X=X)
+
+
+def _declared(path, covariates, outcome=None, weight=None, stratum=None, psu=None, *_):
+    """The numeric, label and optional columns :func:`ingest_delimited`
+    reads, from its arguments."""
+    if not covariates:
+        raise MissingColumnError(f"{path}: no covariate columns declared")
+    needed = list(covariates) + [c for c in (outcome, weight) if c]
+    return needed, [c for c in (stratum, psu) if c], (outcome,) if weight else ()
 
 
 @dataclass(frozen=True)
@@ -306,11 +414,11 @@ def _weight_summary(w: np.ndarray):
     return {"w_min": float(np.min(w)), "w_max": float(np.max(w)), "w_cv": cv}
 
 
-def _ingest(args):
-    """``ingest_delimited(*args)`` and the messages of its warnings."""
+def _ingest(args, read_columns=None):
+    """``ingest_delimited(*args, read_columns=...)`` and its warnings' messages."""
     with _warnings.catch_warnings(record=True) as caught:
         _warnings.simplefilter("always")
-        sample = ingest_delimited(*args)
+        sample = ingest_delimited(*args, read_columns=read_columns)
     return sample, tuple(str(w.message) for w in caught)
 
 
@@ -326,9 +434,10 @@ def run_estimation_job(job: EstimationJob):
     simulated study has.  So is a method named twice, which would write
     two report rows and two weight columns for it.
 
-    With two or more usable CPUs (on Linux), a forked child reads the
-    cohort while this process reads the survey, and the groups of methods
-    that share a fit are split between this process and forked children.
+    With two or more usable CPUs (on Linux), the files are read in byte
+    spans or else one per process (see the module docstring), and the
+    groups of methods that share a fit are split between this process and
+    forked children.
     """
     methods = tuple(Method(m) for m in job.methods)
     if Method.TW in methods:
@@ -339,10 +448,12 @@ def run_estimation_job(job: EstimationJob):
     if repeated:
         raise PseudoweightError(f"method {repeated[0]!r} is requested more than once")
     columns = job.covariate_columns, job.outcome_column
-    survey_design = job.weight_column, job.stratum_column, job.psu_column, job.design_kind
+    design = job.weight_column, job.stratum_column, job.psu_column, job.design_kind
     cpus = _usable_cpus()
-    (cohort, cohort_warnings), (survey, survey_warnings) = _fork_map(
-        _ingest, [(job.cohort_path, *columns), (job.survey_path, *columns, *survey_design)], cpus
+    files = [(job.cohort_path, *columns), (job.survey_path, *columns, *design)]
+    reads = _read_spans([(f[0], *_declared(*f)) for f in files], cpus)
+    (cohort, cohort_warnings), (survey, survey_warnings) = (
+        _fork_map(_ingest, files, cpus) if reads is None else map(_ingest, files, reads)
     )
     ingest_warnings = cohort_warnings + survey_warnings
 

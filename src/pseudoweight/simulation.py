@@ -140,14 +140,23 @@ def generate_population(config: PopulationConfig) -> FinitePopulation:
     return FinitePopulation(X=X, y=y, mu=float(y.mean()))
 
 
+def _link_memo(population, scenario, slopes, fill=True):
+    """The :attr:`FinitePopulation.link_means` entry of ``(scenario, slopes)``;
+    when absent, a new one, kept there only when ``fill``."""
+    key, link_means = (scenario, tuple(slopes)), population.link_means
+    entry = link_means.get(key) or (population.X[:, 1:] @ np.asarray(slopes, dtype=float), {})
+    return link_means.setdefault(key, entry) if fill else entry
+
+
 def participation_probabilities(
     population: FinitePopulation,
     scenario: Scenario,
     intercept: float,
     slopes=PARTICIPATION_SLOPES,
 ) -> np.ndarray:
-    """Per-unit participation probabilities under a scenario's link."""
-    eta = population.X[:, 1:] @ np.asarray(slopes, dtype=float)
+    """Per-unit participation probabilities under a scenario's link, from
+    the linear predictor a calibration keeps, if one does; none is kept."""
+    eta, _ = _link_memo(population, scenario, slopes, fill=False)
     if scenario is Scenario.LOG_LINK:
         return np.exp(intercept + eta)
     return expit(intercept + eta)
@@ -232,10 +241,7 @@ def _intercept_equation(population, scenario, f_c_target, slopes=PARTICIPATION_S
     feasibility boundary (largest intercept keeping every rate below one)."""
     if not 0.0 < f_c_target < 1.0:
         raise InfeasibleTargetError("participation-rate target must lie in (0, 1)")
-    key = (scenario, tuple(slopes))
-    if key not in population.link_means:
-        population.link_means[key] = population.X[:, 1:] @ np.asarray(slopes, dtype=float), {}
-    eta, means = population.link_means[key]
+    eta, means = _link_memo(population, scenario, slopes)
     link = np.exp if scenario is Scenario.LOG_LINK else expit
 
     def g(c):

@@ -1,8 +1,11 @@
+import csv
+import dataclasses
 import json
 import math
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -382,6 +385,24 @@ class TestEstimationJob:
         assert "pct_rd" in run_estimation_job(job)[0]
         assert opened == [cohort_path, survey_path]
 
+    def test_survey_from_a_pipe_is_read_once_whole(self, tmp_path, monkeypatch, no_child_left):
+        # a pipe's bytes can be read only once, so it is never cut into spans
+        monkeypatch.setattr(io, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(io, "_SPAN_BYTES", 1)
+        (cohort_path, survey_path), _ = random_pair_files(tmp_path)
+        job = EstimationJob(cohort_path, survey_path, "y", ("x1",), "w", methods=ALL_METHODS)
+        expected = run_estimation_job(job)
+        pipe = tmp_path / "survey.pipe"
+        os.mkfifo(pipe)
+        writer = threading.Thread(target=pipe.write_bytes, args=(Path(survey_path).read_bytes(),))
+        writer.start()
+        try:
+            got = run_estimation_job(dataclasses.replace(job, survey_path=str(pipe)))
+        finally:
+            writer.join(timeout=60)
+        assert not writer.is_alive()
+        assert repr(got) == repr(expected)
+
     def test_survey_row_bad_in_outcome_and_weight_names_the_outcome(self, tmp_path):
         # declared order (covariates, outcome, weight) decides, not file order
         cohort_path, _, _ = self_paired_files(tmp_path, n=25)
@@ -496,8 +517,12 @@ def broken(path, line=3):
 
 def job_cases():
     """Named builders of estimation jobs on the test files above: every
-    method, skip notices in both files, errors in a method's key, in
-    validation and in either file or both."""
+    method, skip notices in both files, empty lines, errors in a method's
+    key, in validation and in either file or both, and each thing that
+    makes a file be read whole instead of in spans, put in the survey's
+    last line (so in the last span only): a quote, a CR, a NUL, text in a
+    numeric cell, a byte that is not UTF-8 and a field over the ``csv``
+    limit (:data:`FIELD_LIMITS`)."""
 
     def random_pair(tmp_path, **kwargs):
         (cohort, survey), _ = random_pair_files(tmp_path)
@@ -532,9 +557,29 @@ def job_cases():
 
         return build
 
+    def empty_lines(tmp_path):
+        job = random_pair(tmp_path)
+        for name, at in (("cohort_path", 3), ("survey_path", 41)):  # the survey's last
+            lines = Path(job[name]).read_text(encoding="utf-8").splitlines(keepends=True)
+            lines.insert(at, "\n")
+            Path(job[name]).write_text("".join(lines), encoding="utf-8")
+        with_blank_cell(job["cohort_path"], 6)
+        return job
+
+    def last_survey_line(change):
+        def build(tmp_path):
+            job = random_pair(tmp_path)
+            path = Path(job["survey_path"])
+            head, last = path.read_bytes().rstrip(b"\n").rsplit(b"\n", 1)
+            path.write_bytes(head + b"\n" + change(last) + b"\n")
+            return job
+
+        return build
+
     return {
         "random-pair": lambda tmp_path: random_pair(tmp_path),
         "skipped-rows": skipped_rows,
+        "empty-lines": empty_lines,
         "survey-outcome": lambda tmp_path: self_paired(tmp_path, methods=ALL_METHODS[:4]),
         "stratified": lambda tmp_path: stratified(tmp_path),
         "iid": lambda tmp_path: random_pair(tmp_path, design_kind=DesignKind.IID),
@@ -547,13 +592,35 @@ def job_cases():
         "bad-cohort": bad(["cohort_path"]),
         "bad-survey": bad(["survey_path"]),
         "both-bad": bad(["cohort_path", "survey_path"]),
+        "last-quoted": last_survey_line(lambda line: b'"' + line.replace(b",", b'",', 1)),
+        "last-cr": last_survey_line(lambda line: line + b"\r"),
+        "last-nul": last_survey_line(lambda line: line + b"\0"),
+        "last-text": last_survey_line(lambda line: b"abc," + line.split(b",", 1)[1]),
+        "last-not-utf8": last_survey_line(lambda line: line + b"\xff"),
+        "last-over-limit": last_survey_line(lambda line: line + b"0" * 100),
+        # a short and a long row, which spans read as csv.reader does
+        "last-short": last_survey_line(lambda line: line.rsplit(b",", 1)[0]),
+        "last-long": last_survey_line(lambda line: line + b",extra"),
     }
 
 
+#: ``csv.field_size_limit`` per job case, so that a 100-digit field is over
+#: it while every other line of the test files is under it
+FIELD_LIMITS = {"last-over-limit": 64}
+#: the job cases whose files are not cut into spans: a quote, CR or NUL byte
+UNSPANNED_CASES = {"last-quoted", "last-cr", "last-nul"}
+#: per job case, the file read whole after its spans, which hold a block
+#: that is not plain or does not parse
+REREAD_CASES = dict.fromkeys(["bad-cohort", "both-bad"], "cohort_path") | dict.fromkeys(
+    ["bad-survey", "last-text", "last-not-utf8", "last-over-limit"], "survey_path"
+)
+
+
 def job_outcome(monkeypatch, cpus, job):
-    """The rows of ``job`` at ``cpus`` usable CPUs, or its error's class and
-    message."""
+    """The rows of ``job`` at ``cpus`` usable CPUs, with one span per CPU
+    however small the files, or its error's class and message."""
     monkeypatch.setattr(io, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(io, "_SPAN_BYTES", 1)
     try:
         return repr(run_estimation_job(job))
     except PseudoweightError as exc:
@@ -568,12 +635,41 @@ class TestConcurrentJob:
         fields = dict(outcome_column="y", weight_column="w", methods=ALL_METHODS)
         fields.update(job_cases()[case](tmp_path))
         job = EstimationJob(**fields)
-        one = job_outcome(monkeypatch, 1, job)
-        assert job_outcome(monkeypatch, 2, job) == one
-        assert job_outcome(monkeypatch, 3, job) == one
+        # per run, whether the files were cut into spans, and the files this
+        # process then read whole
+        runs, read_spans, read_columns = [], io._read_spans, io._read_columns
+        monkeypatch.setattr(
+            io, "_read_spans", lambda *args: runs.append((read_spans(*args), [])) or runs[-1][0]
+        )
+        monkeypatch.setattr(
+            io,
+            "_read_columns",
+            lambda path, *args: runs[-1][1].append(path) or read_columns(path, *args),
+        )
+        limit = csv.field_size_limit(FIELD_LIMITS.get(case, csv.field_size_limit()))
+        try:
+            one = job_outcome(monkeypatch, 1, job)
+            assert job_outcome(monkeypatch, 2, job) == one
+            assert job_outcome(monkeypatch, 3, job) == one
+            # each file read whole
+            monkeypatch.setattr(io, "_read_spans", lambda *args: runs.append((None, [])))
+            whole = job_outcome(monkeypatch, 2, job)
+        finally:
+            csv.field_size_limit(limit)
+        spanned = [reads is not None for reads, _ in runs]
+        assert spanned == [False] + [case not in UNSPANNED_CASES] * 2 + [False]
+        if case not in UNSPANNED_CASES:
+            reread = [getattr(job, REREAD_CASES[case])] if case in REREAD_CASES else []
+            assert [paths for _, paths in runs[1:3]] == [reread] * 2
+        assert whole == one
         if case == "skipped-rows":  # the cohort's notice, then the survey's
             notices = "c.csv: skipped 1 row(s) with missing declared fields (rows 4); "
             assert notices + f"{job.survey_path}: skipped 1 row(s)" in one
+        if case == "last-short":  # its absent weight cell skips it
+            notice = "skipped 1 row(s) with missing declared fields (rows 41)"
+            assert f"{job.survey_path}: {notice}" in one
+        if case == "empty-lines":  # the empty line is counted, not reported
+            assert "c.csv: skipped 1 row(s) with missing declared fields (rows 6)" in one
         bad = {"bad-cohort": (job.cohort_path, "y"), "both-bad": (job.cohort_path, "y")}
         bad["bad-survey"] = (job.survey_path, "x1")
         if case in bad:
@@ -582,6 +678,40 @@ class TestConcurrentJob:
             assert one == ("ParseError", message)
         if case == "key-raises":
             assert one[0] == "InfeasibleTotalsError"  # clw comes before rdw
+        last = {
+            "last-text": "row 41, column 'x1': cannot parse 'abc' as a number",
+            "last-nul": "row 41, column 'w': cannot parse",
+            "last-not-utf8": "row 41: byte 0xff is not UTF-8",
+            "last-over-limit": "row 41: field larger than field limit (64)",
+        }
+        if case in last:
+            assert one[0] == "ParseError" and one[1].startswith(f"{job.survey_path}: {last[case]}")
+        if case in ("last-quoted", "last-cr"):  # read as if the line were plain
+            (tmp_path / "plain").mkdir()
+            plain = job_cases()["random-pair"](tmp_path / "plain")
+            assert one == job_outcome(monkeypatch, 1, EstimationJob(**(fields | plain)))
+
+    @pytest.mark.parametrize("change", ["none", "small", "cr", "one-cpu"])
+    def test_forks_for_spans_only_when_they_pay(self, tmp_path, monkeypatch, change):
+        # spans only when two or more CPUs each get _SPAN_BYTES and no byte is
+        # a quote, CR or NUL; otherwise each file is read whole, as before
+        (cohort_path, survey_path), _ = random_pair_files(tmp_path)
+        if change != "small":
+            monkeypatch.setattr(io, "_SPAN_BYTES", 1)
+        if change == "cr":
+            Path(survey_path).write_bytes(Path(survey_path).read_bytes().replace(b"\n", b"\r\n"))
+        maps, fork_map = [], io._fork_map
+        monkeypatch.setattr(io, "_usable_cpus", lambda: 1 if change == "one-cpu" else 3)
+        monkeypatch.setattr(
+            io,
+            "_fork_map",
+            lambda fn, items, workers: maps.append((fn.__name__, len(items), workers))
+            or fork_map(fn, items, 1),
+        )
+        run_estimation_job(EstimationJob(cohort_path, survey_path, "y", ("x1",), "w"))
+        cpus = 1 if change == "one-cpu" else 3
+        assert maps[0] == (("span", 3, 3) if change == "none" else ("_ingest", 2, cpus))
+        assert len(maps) == 2  # then the fit groups
 
     def test_error_in_a_fit_group_child_is_raised_after_it_ends(
         self, tmp_path, monkeypatch, no_child_left

@@ -4,11 +4,14 @@ Ingest returns the kept rows' numbers bit-exact and their labels trimmed,
 the skip notice names the file lines of the skipped rows (blank lines
 counted), and a weight dump parses back to the same doubles.  The columnar
 reader gives what the row-at-a-time reader kept below gives, whatever its
-block size, and names the line of a byte that is not UTF-8.  Examples are
-derandomized so the suite reads the same cases on every run.
+block size, and names the line of a byte that is not UTF-8.  So does the
+span reader, in any number of spans, on the files that are plain, and it
+leaves every other file to be read whole.  Examples are derandomized so
+the suite reads the same cases on every run.
 """
 
 import csv
+import functools
 import os
 import tempfile
 import warnings
@@ -232,7 +235,7 @@ PLAIN_TEXT = st.one_of(st.sampled_from(["NA", "abc"]), st.text(alphabet=" 1.e-ab
 
 
 @st.composite
-def delimited_files(draw):
+def delimited_files(draw, spannable=False):
     """A file's header and rows as written, the columns declared to read
     it, and the writer's options.
 
@@ -240,18 +243,20 @@ def delimited_files(draw):
     declared name is now and then absent.  Rows may be blank, short or
     long; a numeric column's cells are mostly numbers, with some blank and,
     in some files, many text cells.  Half the files are *plain*: ``\n``
-    line ends, no blank line, no quote, and mostly rows of the header's
-    width, so blocks of lines split by ``str.split`` alternate with ones
-    that go through ``csv.reader``; some of them lack the last line break.
+    line ends, no blank line and no quote, so ``str.split`` splits every
+    block; in the others, blocks split by ``str.split`` alternate with ones
+    that go through ``csv.reader``.  Plain files may lack the last line
+    break.  With ``spannable`` every file is plain and no numeric cell
+    holds text.
     """
-    plain = draw(st.booleans())
+    plain = spannable or draw(st.booleans())
     header = draw(st.lists(st.sampled_from(NAMES), min_size=1, max_size=5))
     declared = draw(st.lists(st.sampled_from(header), min_size=1, max_size=4))
     if draw(st.integers(0, 9)) == 0:
         declared.append("z")
     k = draw(st.integers(1, len(declared)))
     numeric, labels = declared[:k], declared[k:]
-    text = draw(st.sampled_from([0, 1, 1, 5]))  # text cells in 20 numeric ones
+    text = 0 if spannable else draw(st.sampled_from([0, 1, 1, 5]))  # in 20 numeric cells
 
     def cell(name):
         roll = draw(st.integers(0, 19))
@@ -288,28 +293,23 @@ def read_both(path, numeric, labels, reader):
     return outcome, [str(w.message) for w in caught]
 
 
-@pytest.mark.parametrize("block", [1, 2, 3, io._BLOCK])
-@settings(max_examples=300, deadline=None, derandomize=True)
-@given(case=delimited_files())
-def test_columnar_reader_matches_the_row_reader(block, case):
-    header, rows, numeric, labels, options, no_last_break = case
-    with tempfile.TemporaryDirectory() as tmp:
-        path = os.path.join(tmp, "file.csv")
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh, **options)
-            writer.writerow(header)
-            for row in rows:
-                if row is None:
-                    fh.write(options["lineterminator"])
-                else:
-                    writer.writerow(row)
-        if no_last_break:
-            with open(path, "r+b") as fh:
-                fh.truncate(os.path.getsize(path) - 1)
-        expected, expected_notices = read_both(path, numeric, labels, reference_read_columns)
-        with mock.patch.object(io, "_BLOCK", block):
-            got, notices = read_both(path, numeric, labels, io._read_columns)
+def write_file(path, header, rows, options, no_last_break):
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, **options)
+        writer.writerow(header)
+        for row in rows:
+            if row is None:
+                fh.write(options["lineterminator"])
+            else:
+                writer.writerow(row)
+    if no_last_break:
+        with open(path, "r+b") as fh:
+            fh.truncate(os.path.getsize(path) - 1)
 
+
+def assert_same_read(got, notices, expected, expected_notices):
+    """The result or error and the notices of two reads are the same, the
+    numbers bit for bit."""
     assert notices == expected_notices
     if isinstance(expected, Exception):
         assert type(got) is type(expected) and str(got) == str(expected)
@@ -323,6 +323,134 @@ def test_columnar_reader_matches_the_row_reader(block, case):
     for c in label_columns:
         assert got_labels[c].dtype == label_columns[c].dtype == object
         assert got_labels[c].tolist() == label_columns[c].tolist()
+
+
+@pytest.mark.parametrize("block", [1, 2, 3, io._BLOCK])
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(case=delimited_files())
+def test_columnar_reader_matches_the_row_reader(block, case):
+    header, rows, numeric, labels, options, no_last_break = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "file.csv")
+        write_file(path, header, rows, options, no_last_break)
+        expected, expected_notices = read_both(path, numeric, labels, reference_read_columns)
+        with mock.patch.object(io, "_BLOCK", block):
+            got, notices = read_both(path, numeric, labels, io._read_columns)
+    assert_same_read(got, notices, expected, expected_notices)
+
+
+def in_this_process(fn, items, workers):
+    """``io._fork_map`` without the forks."""
+    return [fn(item) for item in items]
+
+
+def read_in_spans(paths, numeric, labels, spans):
+    """``io._read_spans`` of ``paths`` in ``spans`` spans, however small the
+    files, all run in this process: each read's result or error and
+    notices, and the paths then read whole; None when the files are not
+    cut into spans."""
+    files = [(path, numeric, labels, ()) for path in paths]
+    whole, read_columns = [], io._read_columns
+    with mock.patch.multiple(
+        io,
+        _SPAN_BYTES=1,
+        _fork_map=in_this_process,
+        _read_columns=lambda path, *args: whole.append(path) or read_columns(path, *args),
+    ):
+        reads = io._read_spans(files, spans)
+        if reads is None:
+            return None
+        return [read_both(*f[:3], read) for f, read in zip(files, reads)], whole
+
+
+@pytest.mark.parametrize("block", [1, 2, 3, io._BLOCK])
+@pytest.mark.parametrize("spans", [2, 3])
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(case=delimited_files(spannable=True))
+def test_span_reader_matches_the_row_reader(spans, block, case):
+    # the file is read twice over, so the cuts fall in either copy: in its
+    # header, on a line start, inside a line, after its last line (which
+    # may lack its break), and there may be more spans than lines
+    check_span_reader(spans, block, case)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(case=delimited_files())
+def test_span_reader_leaves_to_the_row_reader_what_is_not_plain(case):
+    # quoted or CRLF headers and lines, blank lines, short and long rows
+    check_span_reader(2, io._BLOCK, case)
+
+
+def check_span_reader(spans, block, case):
+    """The files are cut into spans when they have no quote, CR or NUL
+    byte and a header line the declared columns are in; a file is read
+    whole after its spans when a row does not parse, even if its rows are
+    short or long; and the result is the row reader's."""
+    header, rows, numeric, labels, options, no_last_break = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "file.csv")
+        write_file(path, header, rows, options, no_last_break)
+        with open(path, "rb") as fh:
+            data = fh.read()
+        expected = read_both(path, numeric, labels, reference_read_columns)
+        with mock.patch.object(io, "_BLOCK", block):
+            got = read_in_spans([path, path], numeric, labels, spans)
+    if b"\n" not in data or any(byte in data for byte in b'"\r\0'):
+        assert got is None
+        return
+    if isinstance(expected[0], MissingColumnError):
+        assert got is None
+        return
+    reads, whole = got
+    assert whole == ([path] * 2 if isinstance(expected[0], ParseError) else [])
+    for read in reads:
+        assert_same_read(*read, *expected)
+
+
+def test_header_over_the_field_limit_is_not_cut(tmp_path):
+    # csv.reader refuses the header's long cell, so the file is read whole
+    path = str(tmp_path / "file.csv")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("y," + "x" * 40 + "\n1,2\n")
+    limit = csv.field_size_limit(16)
+    try:
+        assert read_in_spans([path, path], ["y"], [], 2) is None
+        with pytest.raises(ParseError, match="field larger than field limit"):
+            io._read_columns(path, ["y"])
+    finally:
+        csv.field_size_limit(limit)
+
+
+def test_two_spans_read_the_file_at_every_cut(tmp_path):
+    # multibyte digits, an empty line, a skipped row and no last line break;
+    # one cut falls at every byte: in the header, at its end, on every line
+    # start, and at either end, where one span holds every line
+    text = "y , x1,s\n1,2,a\n\n3,,b\n\uff15,6,c\n7,8.5,\uff44\n9,10,e"
+    path = tmp_path / "file.csv"
+    path.write_text(text, encoding="utf-8")
+    expected = read_both(str(path), ["y", "x1"], ["s"], reference_read_columns)
+    size, start = len(text.encode()), len("y , x1,s\n")
+    for cut in range(size + 1):
+        pieces = [
+            io._read_piece(str(path), ["y", "x1"], [0, 1, 2], 3, max(lo, start), hi)
+            for lo, hi in [(0, cut), (cut, size)]
+        ]
+        assert sum(p[2] for p in pieces) == 6
+        skipped = [line + 1 + pieces[0][2] * k for k, p in enumerate(pieces) for line in p[1]]
+        blocks = [b for p in pieces for b in p[0]]
+        merge = functools.partial(io._merge, str(path), ["y", "x1"], ["s"], blocks, skipped)
+        assert_same_read(*read_both(None, None, None, lambda *_: merge()), *expected)
+
+
+def test_more_spans_than_lines_in_forked_children(tmp_path, no_child_left):
+    paths = [str(tmp_path / "a.csv"), str(tmp_path / "b.csv")]
+    (tmp_path / "a.csv").write_text("y,x1\n1,2\n", encoding="utf-8")
+    (tmp_path / "b.csv").write_text("x1,y\n3,4\n5,\n", encoding="utf-8")
+    with mock.patch.object(io, "_SPAN_BYTES", 1):
+        reads = io._read_spans([(p, ["y"], ["x1"], ()) for p in paths], 8)
+    for path, read in zip(paths, reads):
+        got = read_both(path, ["y"], ["x1"], read)
+        assert_same_read(*got, *read_both(path, ["y"], ["x1"], reference_read_columns))
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)

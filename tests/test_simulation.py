@@ -123,6 +123,28 @@ def test_bracket_check_values_are_not_evaluated_again(monkeypatch):
     assert float(got).hex() == float(cold).hex()
 
 
+@pytest.mark.parametrize("scenario", [Scenario.LOG_LINK, Scenario.LOGIT_LINK])
+def test_participation_probabilities_read_the_root_search_memo(scenario):
+    """The probabilities take the linear predictor a root search kept, and
+    keep none themselves, so a slope sweep leaves no memo behind; their
+    bits are those of the direct product."""
+    pop = flat_population()
+    c = calibrate_participation_intercept(pop, scenario, 0.05)
+    ((eta, _),) = pop.link_means.values()
+    pi = participation_probabilities(pop, scenario, c)
+    assert list(pop.link_means.values())[0][0] is eta
+    direct = pop.X[:, 1:] @ np.asarray(simulation.PARTICIPATION_SLOPES, dtype=float)
+    link = np.exp if scenario is Scenario.LOG_LINK else expit
+    assert pi.tobytes() == link(c + direct).tobytes()
+
+    fresh = flat_population()
+    assert participation_probabilities(fresh, scenario, c).tobytes() == pi.tobytes()
+    for k in (1, 2):
+        participation_probabilities(fresh, scenario, c, [0.1 * k] * (pop.X.shape[1] - 1))
+    assert fresh.link_means == {}
+    assert calibrate_participation_intercept(fresh, scenario, 0.05) == c
+
+
 # The in-package root finder is checked against scipy's brentq, the
 # function it ports, as an oracle.  Examples are derandomized so the suite
 # reads the same cases on every run.
