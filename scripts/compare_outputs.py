@@ -8,9 +8,11 @@ trees to compare:
 
 The inputs are the ``estimate-clustered`` benchmark files of seeds 1 and 7,
 made by this checkout's ``perfbench/workloads.py`` (imported, not changed),
-plus two copies of each survey: one without its outcome column, and one
+plus three copies of each survey: one without its outcome column, one
 with a quoted label cell and CRLF line ends, which ``estimate`` reads a
-whole file at a time instead of in byte spans.  On each tree the script
+whole file at a time instead of in byte spans, and one whose only quote is
+in its last line, which the whole-file read splits plainly up to the last
+block and hands from there to ``csv.reader``.  On each tree the script
 runs, each in its own process:
 
 * ``pseudoweight estimate`` with six methods under the ``poisson``,
@@ -51,13 +53,13 @@ def _drop_column(text, name):
     return "".join(",".join(row[:j] + row[j + 1 :]) + "\n" for row in rows)
 
 
-def _quoted_crlf(text):
-    """``text`` with the last cell of its first data row quoted and every
-    line ended by CRLF."""
+def _quoted(text, row, end):
+    """``text`` with the last cell of its ``row``-th line quoted and every
+    line ended by ``end``."""
     lines = text.splitlines()
-    head, last = lines[1].rsplit(",", 1)
-    lines[1] = f'{head},"{last}"'
-    return "".join(line + "\r\n" for line in lines)
+    head, last = lines[row].rsplit(",", 1)
+    lines[row] = f'{head},"{last}"'
+    return "".join(line + end for line in lines)
 
 
 def make_inputs(directory):
@@ -72,7 +74,8 @@ def make_inputs(directory):
         variants = (
             ("y", survey_text),
             ("noy", _drop_column(survey_text, "y")),
-            ("quoted", _quoted_crlf(survey_text)),
+            ("quoted", _quoted(survey_text, 1, "\r\n")),
+            ("lastquote", _quoted(survey_text, -1, "\n")),
         )
         for variant, text in variants:
             survey = directory / f"survey-s{seed}-{variant}.csv"

@@ -1,16 +1,17 @@
 """Delimited-file ingestion, estimation jobs, and report emission.
 
-File format: comma-separated, UTF-8, mandatory header row, ``.`` decimal
-separator, no thousands separators.  Header names are matched after
-trimming surrounding spaces.  Blank lines are ignored.  Rows with an empty
-value in a declared column are skipped (their file line numbers are
-reported through a warning); non-numeric content in a declared column is a
-hard :class:`ParseError` naming the file line, and so are a byte that is
-not UTF-8 and a cell over the ``csv`` module's field limit.  A read that
-fails after the file opened is an :class:`IoError`.
+File format: comma-separated, UTF-8 (a leading BOM is dropped), mandatory
+header row, ``.`` decimal separator, no thousands separators.  Header names
+are matched after trimming surrounding spaces.  Blank lines are ignored.
+Rows with an empty value in a declared column are skipped (their file line
+numbers are reported through a warning); non-numeric content in a declared
+column is a hard :class:`ParseError` naming the file line, and so are a
+byte that is not UTF-8 and a cell over the ``csv`` module's field limit.  A
+read that fails after the file opened is an :class:`IoError`.
 
-A file is read in blocks of ``_BLOCK`` lines.  A block that ``csv.reader``
-would read as ``str.split`` does is split at its commas in one call; the
+A file's bytes are read in blocks of ``_BLOCK`` lines by one loop,
+:func:`_read_plain`.  A block that ``csv.reader`` would read as
+``str.split`` does is decoded and split at its commas in one call; the
 first other block, and the rest of the file, go through one ``csv.reader``
 pass.  Each block's declared cells are split into columns, trimmed, rid of
 rows with a blank cell, and each numeric column parsed by ``float`` in one
@@ -18,9 +19,9 @@ call, which keeps the peak memory near that of the finished arrays.
 
 An estimation job on two or more CPUs cuts the bytes of two regular files
 with no quote, CR or NUL byte into one span per CPU (of ``_SPAN_BYTES`` or
-more), read in blocks in forked children and this process, and reads a
-file whole after them only when one of its blocks cannot be split or
-parsed.  Other files are read whole, the cohort in a forked child.
+more), each read by that loop in forked children and this process, and
+reads a file whole after them only when one of its blocks cannot be split
+or parsed.  Other files are read whole, the cohort in a forked child.
 
 Reports are emitted deterministically: same results, byte-identical file.
 """
@@ -35,6 +36,7 @@ import warnings as _warnings
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import partial
+from io import BytesIO, TextIOWrapper
 from itertools import accumulate, chain, compress, islice, repeat
 from operator import itemgetter, not_
 
@@ -99,29 +101,9 @@ def _unreadable(path, line, exc):
     )
 
 
-def _raising(exc):
-    """An iterator that raises ``exc`` when it is first read."""
-    raise exc
-    yield
-
-
 #: Lines read, or records collected, between two parses of their cells
 #: (see the module docstring).
 _BLOCK = 4096
-
-
-def _split_plain(lines, width):
-    """The cells of ``lines``, ``width`` a line, split at every comma; a
-    short line gets empty cells and a long one loses its last, which no
-    declared column reads.  None unless ``csv.reader`` reads them so: no
-    quote, carriage return or NUL, and no line over the ``csv`` field limit."""
-    text = "".join(lines)
-    if any(c in text for c in '"\r\0') or max(map(len, lines), default=0) > csv.field_size_limit():
-        return None
-    if set(map(str.count, lines, repeat(","))) - {width - 1}:
-        pad = [""] * width
-        return [c for line in lines for c in (line.rstrip("\n").split(",") + pad)[:width]]
-    return text.replace("\n", ",").split(",")
 
 
 def _parse_block(path, numeric, cells, index, width, lines, skipped):
@@ -159,18 +141,44 @@ def _parse_block(path, numeric, cells, index, width, lines, skipped):
     return n, numbers, columns[len(numeric) :]
 
 
-def _parse_plain(path, numeric, index, width, block, read, blocks, skipped):
-    """Parse ``block``, lines that follow a file's ``read``-th, into
-    ``blocks`` (:func:`_parse_block`) when :func:`_split_plain` splits its
-    lines that are not empty; False, with nothing parsed, when it does not."""
-    lines = range(read + 1, read + len(block) + 1)
-    if "\n" in block:  # an empty line is no record, as for csv.reader
-        lines = [i for i, line in zip(lines, block) if line != "\n"]
-        block = [line for line in block if line != "\n"]
-    cells = _split_plain(block, width)
-    if cells is not None:
+def _split_plain(lines, width):
+    """The cells of ``lines`` of bytes, ``width`` a line, split at every
+    comma; a short line gets empty cells and a long one loses its last,
+    which no declared column reads.  None unless ``csv.reader`` reads them
+    so: UTF-8 with no quote, carriage return or NUL, and no line of more
+    bytes than the ``csv`` field limit."""
+    data = b"".join(lines)
+    if any(c in data for c in b'"\r\0') or max(map(len, lines), default=0) > csv.field_size_limit():
+        return None
+    try:
+        text = data.decode()
+    except UnicodeDecodeError:
+        return None
+    if set(map(bytes.count, lines, repeat(b","))) - {width - 1}:
+        pad = [""] * width
+        return [c for line in text.rstrip("\n").split("\n") for c in (line.split(",") + pad)[:width]]
+    return text.replace("\n", ",").split(",")
+
+
+def _read_plain(fh, path, numeric, index, width, blocks, skipped, read, left=math.inf):
+    """Parse the lines of ``fh``, a file of bytes, that start in its next
+    ``left`` bytes into ``blocks``, ``_BLOCK`` at a time and numbered on
+    from ``read``, up to the first block :func:`_split_plain` does not
+    split.  Returns the lines then read and that block's lines."""
+    while left > 0 and (block := list(islice(fh, _BLOCK))):
+        left -= sum(map(len, block))
+        while left + len(block[-1]) <= 0:  # lines starting in the next span
+            left += len(block.pop())
+        lines, kept = range(read + 1, read + len(block) + 1), block
+        if b"\n" in block:  # an empty line is no record, as for csv.reader
+            lines = [i for i, line in zip(lines, block) if line != b"\n"]
+            kept = [line for line in block if line != b"\n"]
+        cells = _split_plain(kept, width)
+        if cells is None:
+            return read, block
         blocks.append(_parse_block(path, numeric, cells, index, width, lines, skipped))
-    return cells is not None
+        read, cells = read + len(block), None  # the cells die before the next read
+    return read, []
 
 
 def _positions(path, header, numeric, labels, optional):
@@ -182,6 +190,18 @@ def _positions(path, header, numeric, labels, optional):
     if missing:
         raise MissingColumnError(f"{path} lacks declared column(s): {', '.join(missing)}")
     return numeric, [position[c] for c in numeric + list(labels)]
+
+
+def _plain_head(path, line, numeric, labels, optional):
+    """:func:`_positions`' result and the width of a header ``line`` of
+    bytes, less one leading byte-order mark, that a line feed ends and
+    :func:`_split_plain` splits; None for any other."""
+    line = line.removeprefix(b"\xef\xbb\xbf")
+    width = line.count(b",") + 1
+    header = _split_plain([line], width) if line.endswith(b"\n") else None
+    if header is None:
+        return None
+    return *_positions(path, header[:width], numeric, labels, optional), width
 
 
 def _read_columns(path, numeric, labels=(), optional=()):
@@ -200,35 +220,27 @@ def _read_columns(path, numeric, labels=(), optional=()):
     :class:`ParseError` raised even if the file turns unreadable after it:
     a cell over the ``csv`` field limit is reported once every record
     before it is checked, a byte that is not UTF-8 once the records before
-    the chunk of the file holding it are (the file decodes a chunk at a
-    time).
+    the 8 KiB chunk holding it are (plain blocks decode whole, and the
+    first block that is not and the rest of the file a chunk at a time).
     """
-    blocks, skipped, cells, lines, read = [], [], [], [], 0
+    blocks, skipped, cells, lines = [], [], [], []
     with _open(path) as fh:
-        reader = csv.reader(fh)
+        first = fh.buffer.readline()
+        head = _plain_head(path, first, numeric, labels, optional)
+        read, rest = 0, [first]
+        if head:
+            numeric, index, width = head
+            read, rest = _read_plain(fh.buffer, path, numeric, index, width, blocks, skipped, 1)
+        # the rest goes through csv.reader; a BOM only at the file's start
+        text = TextIOWrapper(BytesIO(b"".join(rest)), "utf-8" if head else "utf-8-sig", newline="")
+        reader = csv.reader(chain(text, fh))
         try:
-            header = next(reader, None)
-            if header is None:
-                raise EmptyFileError(f"{path} has no header row")
-            numeric, index = _positions(path, header, numeric, labels, optional)
-            width, m = len(header), len(index)
-            # Plain blocks of lines are split by str.split; the first block
-            # that is not, and the rest of the file, go through csv.reader.
-            read, tail = reader.line_num, fh
-            while tail is fh:
-                block = []
-                try:
-                    block.extend(islice(fh, _BLOCK))
-                except UnicodeDecodeError as exc:
-                    tail = _raising(exc)  # read after the lines before the bad byte
-                if not _parse_plain(path, numeric, index, width, block, read, blocks, skipped):
-                    break
-                n, block = len(block), []
-                read += n
-                if n < _BLOCK:
-                    break
-            reader = csv.reader(chain(block, tail))
-            short = max(index) + 1
+            if not head:
+                header = next(reader, None)
+                if header is None:
+                    raise EmptyFileError(f"{path} has no header row")
+                numeric, index = _positions(path, header, numeric, labels, optional)
+            short, m = max(index) + 1, len(index)
             pick = itemgetter(*index) if m > 1 else lambda row: (row[index[0]],)
             for row in reader:
                 if not row:
@@ -280,22 +292,15 @@ def _read_piece(path, numeric, index, width, lo, hi):
     """``(blocks, skipped, lines)`` of the data lines of a file that start
     from byte ``lo``, past its header, up to byte ``hi``, lines counted from
     the piece's first; None when a block is not plain or does not parse."""
-    blocks, skipped, n = [], [], 0
+    blocks, skipped = [], []
     try:
         with open(path, "rb") as fh:  # bytes, so that a span ends at a byte offset
             fh.seek(lo - 1)
             lo += len(fh.readline()) - 1  # the first line starting at or after lo
-            while lo < hi and (block := list(islice(fh, _BLOCK))):
-                lo += sum(map(len, block))
-                while lo - len(block[-1]) >= hi:  # lines starting in the next span
-                    lo -= len(block.pop())
-                block = list(map(bytes.decode, block))
-                if not _parse_plain(path, numeric, index, width, block, n, blocks, skipped):
-                    return None
-                n += len(block)
-    except (OSError, ValueError, PseudoweightError):
+            n, rest = _read_plain(fh, path, numeric, index, width, blocks, skipped, 0, hi - lo)
+    except (OSError, PseudoweightError):
         return None
-    return blocks, skipped, n
+    return None if rest else (blocks, skipped, n)
 
 
 def _read_spans(files, cpus):
@@ -309,16 +314,13 @@ def _read_spans(files, cpus):
     try:
         for path, numeric, labels, optional in files:
             with open(path, "rb") as fh:
-                for chunk in iter(partial(fh.read, 1 << 16), b""):
-                    if any(c in chunk for c in b'"\r\0'):
-                        return None
-                fh.seek(0)
-                line = fh.readline().decode()
-                if not line.endswith("\n") or len(line) > csv.field_size_limit():
+                line = fh.readline()
+                head = _plain_head(path, line, numeric, labels, optional)
+                chunks = iter(partial(fh.read, 1 << 16), b"")  # the lines after it
+                if head is None or any(c in chunk for chunk in chunks for c in b'"\r\0'):
                     return None
-                numeric, index = _positions(path, line.split(","), numeric, labels, optional)
-                heads.append((path, numeric, index, line.count(",") + 1, fh.tell()))
-    except (OSError, ValueError, PseudoweightError):
+                heads.append((path, *head, len(line)))
+    except (OSError, PseudoweightError):
         return None  # read whole, to raise as the one-pass reader does
     ends = list(accumulate(sizes, initial=0))
 

@@ -522,7 +522,8 @@ def job_cases():
     makes a file be read whole instead of in spans, put in the survey's
     last line (so in the last span only): a quote, a CR, a NUL, text in a
     numeric cell, a byte that is not UTF-8 and a field over the ``csv``
-    limit (:data:`FIELD_LIMITS`)."""
+    limit (:data:`FIELD_LIMITS`); and a byte-order mark starting both
+    files, before a plain header or a quoted one."""
 
     def random_pair(tmp_path, **kwargs):
         (cohort, survey), _ = random_pair_files(tmp_path)
@@ -576,6 +577,19 @@ def job_cases():
 
         return build
 
+    def byte_order_mark(quote):
+        def build(tmp_path):
+            job = random_pair(tmp_path)
+            for name in ("cohort_path", "survey_path"):
+                path = Path(job[name])
+                head, rest = path.read_bytes().split(b"\n", 1)
+                if quote:
+                    head = b'"' + head.replace(b",", b'",', 1)
+                path.write_bytes("\ufeff".encode() + head + b"\n" + rest)
+            return job
+
+        return build
+
     return {
         "random-pair": lambda tmp_path: random_pair(tmp_path),
         "skipped-rows": skipped_rows,
@@ -601,6 +615,8 @@ def job_cases():
         # a short and a long row, which spans read as csv.reader does
         "last-short": last_survey_line(lambda line: line.rsplit(b",", 1)[0]),
         "last-long": last_survey_line(lambda line: line + b",extra"),
+        "bom": byte_order_mark(quote=False),
+        "bom-quoted-header": byte_order_mark(quote=True),
     }
 
 
@@ -608,7 +624,7 @@ def job_cases():
 #: it while every other line of the test files is under it
 FIELD_LIMITS = {"last-over-limit": 64}
 #: the job cases whose files are not cut into spans: a quote, CR or NUL byte
-UNSPANNED_CASES = {"last-quoted", "last-cr", "last-nul"}
+UNSPANNED_CASES = {"last-quoted", "last-cr", "last-nul", "bom-quoted-header"}
 #: per job case, the file read whole after its spans, which hold a block
 #: that is not plain or does not parse
 REREAD_CASES = dict.fromkeys(["bad-cohort", "both-bad"], "cohort_path") | dict.fromkeys(
@@ -686,7 +702,8 @@ class TestConcurrentJob:
         }
         if case in last:
             assert one[0] == "ParseError" and one[1].startswith(f"{job.survey_path}: {last[case]}")
-        if case in ("last-quoted", "last-cr"):  # read as if the line were plain
+        # read as the plain file is: a quote, a CR or a byte-order mark changes nothing
+        if case in ("last-quoted", "last-cr", "bom", "bom-quoted-header"):
             (tmp_path / "plain").mkdir()
             plain = job_cases()["random-pair"](tmp_path / "plain")
             assert one == job_outcome(monkeypatch, 1, EstimationJob(**(fields | plain)))
@@ -915,6 +932,14 @@ class TestCli:
                 2,
                 "column 'w': cannot parse 'abc'",
             ),
+            # the bad byte lies in the bad number's block of lines, in a later
+            # chunk of the decoder
+            (
+                "survey",
+                b"x1,w\n0.1,abc\n" + b"0.2,2\n" * 3000 + b"0.3,2\xe9\n",
+                2,
+                "column 'w': cannot parse 'abc'",
+            ),
             ("survey", b"x1,w\n0.1,2\n0.2,2\xe9\n", 3, "byte 0xe9 is not UTF-8"),
         ],
         ids=[
@@ -922,6 +947,7 @@ class TestCli:
             "oversized-cell",
             "bad-number-before-oversized-cell",
             "survey-bad-number-before-bad-byte",
+            "survey-bad-number-before-bad-byte-in-its-block",
             "survey-not-utf8",
         ],
     )

@@ -442,6 +442,38 @@ def test_two_spans_read_the_file_at_every_cut(tmp_path):
         assert_same_read(*read_both(None, None, None, lambda *_: merge()), *expected)
 
 
+def test_plain_blocks_are_parsed_up_to_the_first_that_is_not(tmp_path):
+    # two-line blocks: an empty line and a skipped row in the plain ones, a
+    # quote on the file's last line; that block, whole, is given back
+    path = tmp_path / "file.csv"
+    path.write_bytes(b'y,s\n1,a\n\n3,\n4,d\n5,e\n6,"f"\n')
+    blocks, skipped = [], []
+    with mock.patch.object(io, "_BLOCK", 2), open(path, "rb") as fh:
+        fh.readline()
+        read, rest = io._read_plain(fh, str(path), ["y"], [0, 1], 2, blocks, skipped, 1)
+    assert read == 5 and rest == [b"5,e\n", b'6,"f"\n']
+    assert skipped == [4]
+    assert [b[0] for b in blocks] == [1, 1]
+    assert [b[1][0].tolist() for b in blocks] == [[1.0], [4.0]]
+    assert [b[2] for b in blocks] == [[["a"]], [["d"]]]
+
+
+@pytest.mark.parametrize("header", ["y,s", '"y",s'])
+@pytest.mark.parametrize("block", [1, io._BLOCK])
+def test_byte_order_mark_is_dropped_only_at_the_start(tmp_path, header, block):
+    # after a plain header or a quoted one; a mark on a later line is data,
+    # whether its block is plain or read by csv.reader
+    path = tmp_path / "file.csv"
+    with mock.patch.object(io, "_BLOCK", block):
+        for later in ["\ufeff2,b", '\ufeff2,"b"']:
+            path.write_text(f"\ufeff{header}\n1,a\n{later}\n", encoding="utf-8")
+            with pytest.raises(ParseError, match=r"row 3, column 'y': cannot parse '\\ufeff2'"):
+                io._read_columns(str(path), ["y"], ["s"])
+        path.write_text(f"\ufeff{header}\n1,a\n2,b\n", encoding="utf-8")
+        numbers, labels = io._read_columns(str(path), ["y"], ["s"])
+    assert numbers["y"].tolist() == [1.0, 2.0] and labels["s"].tolist() == ["a", "b"]
+
+
 def test_more_spans_than_lines_in_forked_children(tmp_path, no_child_left):
     paths = [str(tmp_path / "a.csv"), str(tmp_path / "b.csv")]
     (tmp_path / "a.csv").write_text("y,x1\n1,2\n", encoding="utf-8")
