@@ -66,12 +66,12 @@ for name, (design, design_variance) in designs.items():
     mu = hajek_mean(cohort.y, w)
     # alp's membership-form arrays (a, u, q, factor) do not depend on the
     # design; only D, built on the fitted survey probabilities, does
-    vb = tl_variance(
+    v_cohort, v_design = tl_variance(
         cohort, w, mu, w * p, w, p, (1 - p) * (1 - 2 * p),
         lambda: design_variance(survey, fit.p_hat_survey),
     )
     print(
-        f"{name:12s} {mu:9.4f} {vb.v_cohort:10.6f} {vb.v_design:10.6f} {vb.v_total:10.6f}"
+        f"{name:12s} {mu:9.4f} {v_cohort:10.6f} {v_design:10.6f} {v_cohort + v_design:10.6f}"
     )
 
 print()

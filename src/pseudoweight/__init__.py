@@ -50,7 +50,6 @@ from .samples import (
     CohortSample,
     DesignInfo,
     DesignKind,
-    FitFlavor,
     PooledMatrix,
     PropensityFit,
     SurveySample,
@@ -77,13 +76,10 @@ from .simulation import (
 )
 from .solvers import fit_clw_score, fit_pooled_logistic
 from .variance import (
-    VarianceBreakdown,
-    compute_b_hat,
     design_variance_iid,
     design_variance_poisson,
     design_variance_stratified,
     tl_variance,
-    variance_cohort_component,
 )
 
 __version__ = "0.1.0"

@@ -45,7 +45,6 @@ import numpy as np
 from .errors import DomainError, EmptyInputError, PseudoweightError
 from .samples import (
     CohortSample,
-    FitFlavor,
     PropensityFit,
     SurveySample,
     WeightedEstimate,
@@ -73,9 +72,18 @@ class Method(str, enum.Enum):
 
 @dataclass(frozen=True)
 class MethodSpec:
-    """A method, as :func:`estimate_each` and :func:`estimate_from_fit` take it."""
+    """A :class:`Method` in a record, which only :func:`estimate` accepts."""
 
     method: Method
+
+
+def _distinct_methods(names) -> tuple:
+    """``names`` as Methods; a repeated one raises :class:`PseudoweightError`."""
+    methods = tuple(map(Method, names))
+    repeated = [m.value for i, m in enumerate(methods) if m in methods[:i]]
+    if repeated:
+        raise PseudoweightError(f"method {repeated[0]!r} is requested more than once")
+    return methods
 
 
 def _check_probs(p: np.ndarray) -> None:
@@ -133,20 +141,19 @@ def hajek_mean(y: np.ndarray, weights: np.ndarray) -> float:
 
 
 def fit_key(method: Method, cohort: CohortSample, survey: SurveySample):
-    """The fit a method needs as ``(flavor, survey-weight multiplier)``, or
-    None for naive and tw.  Methods with equal keys share one fit; ``rdw``'s
-    key raises :class:`RescaleError` when its factor would be nonpositive."""
+    """The fit a method needs: None for naive and tw, ``Method.CLW`` for the
+    participation-score fit, or the pooled fit's survey-weight multiplier (a
+    float).  Methods with equal keys share one fit; ``rdw``'s key raises
+    :class:`RescaleError` when its factor would be nonpositive."""
     if method in (Method.NAIVE, Method.TW):
         return None
-    if method in (Method.ALP, Method.FDW):
-        return FitFlavor.POOLED_MEMBERSHIP, 1.0
-    if method is Method.RDW:
-        return FitFlavor.POOLED_MEMBERSHIP, rdw_rescale_factor(cohort.n_c, survey.d)
-    if method is Method.ALPS:
-        return FitFlavor.POOLED_MEMBERSHIP, default_lambda(cohort.n_c, survey.d)
     if method is Method.CLW:
-        return FitFlavor.CLW_SCORE, 1.0
-    raise ValueError(f"unknown method {method!r}")  # pragma: no cover
+        return Method.CLW
+    if method is Method.RDW:
+        return rdw_rescale_factor(cohort.n_c, survey.d)
+    if method is Method.ALPS:
+        return default_lambda(cohort.n_c, survey.d)
+    return 1.0  # alp and fdw
 
 
 def fit_for_method(
@@ -158,10 +165,9 @@ def fit_for_method(
     key = fit_key(method, cohort, survey)
     if key is None:
         return None
-    flavor, multiplier = key
-    if flavor is FitFlavor.CLW_SCORE:
+    if key is Method.CLW:
         return fit_clw_score(cohort, survey)
-    return fit_pooled_logistic(build_pooled_matrix(cohort, survey, multiplier, rows))
+    return fit_pooled_logistic(build_pooled_matrix(cohort, survey, key, rows))
 
 
 def _interval(mu: float, var: float | None):
@@ -174,7 +180,7 @@ def _interval(mu: float, var: float | None):
 
 
 def estimate_from_fit(
-    spec: MethodSpec,
+    method: Method,
     fit: PropensityFit | None,
     cohort: CohortSample,
     survey: SurveySample,
@@ -190,7 +196,6 @@ def estimate_from_fit(
     arrays carry the pseudo-weights, so cohort sums that stand in for
     population totals are inverse-participation weighted.
     """
-    method = spec.method
     arrays = design = None
     warnings = ()
     if method is Method.NAIVE:
@@ -231,9 +236,10 @@ def estimate_from_fit(
     mu = hajek_mean(cohort.y, w)
     var = None
     if arrays is not None:
-        vb = tl_variance(cohort, w, mu, *arrays, design)
-        warnings += vb.warnings
-        var = vb.v_total
+        v_cohort, v_design = tl_variance(cohort, w, mu, *arrays, design)
+        if v_cohort < 0:  # reported, not raised (see tl_variance)
+            warnings += ("negative-cohort-component",)
+        var = v_cohort + v_design
     lo, hi = _interval(mu, var)
     return WeightedEstimate(
         method=method.value,
@@ -246,23 +252,23 @@ def estimate_from_fit(
     )
 
 
-def estimate_each(specs, cohort, survey, true_participation=None) -> list:
-    """Run every spec on already-validated samples, in order.
+def estimate_each(methods, cohort, survey, true_participation=None) -> list:
+    """Run every :class:`Method` on already-validated samples, in order.
 
-    Each entry of the result is the spec's :class:`WeightedEstimate` or the
-    :class:`PseudoweightError` that stopped it.  Specs whose methods have
-    equal :func:`fit_key` share one fit, or that fit's error, and its design
+    Each entry of the result is the method's :class:`WeightedEstimate` or
+    the :class:`PseudoweightError` that stopped it.  Methods with equal
+    :func:`fit_key` share one fit, or that fit's error, and its design
     matrix, built when first needed; pooled fits share one :func:`pooled_rows`.
     """
     fits, results, rows = {}, [], None
-    for spec in specs:
+    for method in methods:
         try:
-            key = fit_key(spec.method, cohort, survey)
+            key = fit_key(method, cohort, survey)
             if key not in fits:
-                if key and key[0] is FitFlavor.POOLED_MEMBERSHIP:
+                if isinstance(key, float):
                     rows = rows or pooled_rows(cohort, survey)
                 try:
-                    fit = fit_for_method(spec.method, cohort, survey, rows)
+                    fit = fit_for_method(method, cohort, survey, rows)
                 except PseudoweightError as exc:
                     fit = exc
                 design = cache(lambda f=fit: _design_matrix(survey, f.p_hat_survey, f.lam))
@@ -270,7 +276,7 @@ def estimate_each(specs, cohort, survey, true_participation=None) -> list:
             result, design = fits[key]
             if not isinstance(result, PseudoweightError):
                 result = estimate_from_fit(
-                    spec, result, cohort, survey, true_participation, design
+                    method, result, cohort, survey, true_participation, design
                 )
         except PseudoweightError as exc:
             result = exc
@@ -279,7 +285,7 @@ def estimate_each(specs, cohort, survey, true_participation=None) -> list:
 
 
 def estimate(
-    spec: Method | MethodSpec,
+    method: Method | MethodSpec,
     cohort: CohortSample,
     survey: SurveySample,
     true_participation: np.ndarray | None = None,
@@ -289,10 +295,10 @@ def estimate(
     Raises :class:`ValidationError` when the paired samples fail validation;
     solver and weight-domain errors propagate.
     """
-    if isinstance(spec, Method):
-        spec = MethodSpec(method=spec)
+    if isinstance(method, MethodSpec):
+        method = method.method
     validate_paired_samples(cohort, survey)
-    (result,) = estimate_each([spec], cohort, survey, true_participation)
+    (result,) = estimate_each([method], cohort, survey, true_participation)
     if isinstance(result, PseudoweightError):
         raise result
     return result

@@ -49,7 +49,7 @@ from .errors import (
     ParseError,
     PseudoweightError,
 )
-from .estimators import Method, MethodSpec, estimate_each, fit_key, hajek_mean
+from .estimators import Method, _distinct_methods, estimate_each, fit_key, hajek_mean
 from .samples import (
     CohortSample,
     DesignInfo,
@@ -433,22 +433,21 @@ def run_estimation_job(job: EstimationJob):
     pipeline surface in the row's ``warnings`` field.  The first package
     error, in method order, is raised.  ``tw`` is rejected before either
     file is read: it needs the known participation rates, which only a
-    simulated study has.  So is a method named twice, which would write
-    two report rows and two weight columns for it.
+    simulated study has.  So are an empty method list and a method named
+    twice, which would write two report rows and two weight columns for it.
 
     With two or more usable CPUs (on Linux), the files are read in byte
     spans or else one per process (see the module docstring), and the
     groups of methods that share a fit are split between this process and
     forked children.
     """
-    methods = tuple(Method(m) for m in job.methods)
+    methods = _distinct_methods(job.methods)
+    if not methods:
+        raise PseudoweightError("no methods given")
     if Method.TW in methods:
         raise PseudoweightError(
             "method 'tw' needs known participation rates and runs only under simulate"
         )
-    repeated = [m.value for i, m in enumerate(methods) if m in methods[:i]]
-    if repeated:
-        raise PseudoweightError(f"method {repeated[0]!r} is requested more than once")
     columns = job.covariate_columns, job.outcome_column
     design = job.weight_column, job.stratum_column, job.psu_column, job.design_kind
     cpus = _usable_cpus()
@@ -465,21 +464,20 @@ def run_estimation_job(job: EstimationJob):
     if survey.y is not None:
         mu_ref = hajek_mean(survey.y, survey.d)
 
-    specs = list(map(MethodSpec, methods))
-    groups = {}  # spec indices by fit key; a key that raises is a group of its own
-    for i, spec in enumerate(specs):
+    groups = {}  # method indices by fit key; a key that raises is a group of its own
+    for i, method in enumerate(methods):
         try:
-            groups.setdefault(fit_key(spec.method, cohort, survey), []).append(i)
+            groups.setdefault(fit_key(method, cohort, survey), []).append(i)
         except PseudoweightError:
-            groups[i] = [i]  # fit keys are None or tuples, never ints
+            groups["raised", i] = [i]  # no fit key is a tuple; 1 would equal 1.0
 
     def run(group):
-        return list(zip(group, estimate_each([specs[i] for i in group], cohort, survey)))
+        return list(zip(group, estimate_each([methods[i] for i in group], cohort, survey)))
 
     done = dict(chain.from_iterable(_fork_map(run, list(groups.values()), cpus)))
     rows = []
     weight_dump = {}
-    for result in map(done.get, range(len(specs))):
+    for result in map(done.get, range(len(methods))):
         if isinstance(result, PseudoweightError):
             raise result
         row = {

@@ -30,13 +30,6 @@ class DesignKind(str, enum.Enum):
     IID = "iid"
 
 
-class FitFlavor(str, enum.Enum):
-    """Which estimating-equation system a method's propensity fit solves."""
-
-    POOLED_MEMBERSHIP = "pooled-membership"
-    CLW_SCORE = "clw-score"
-
-
 def _readonly(a, dtype=float):
     # an array that is read-only, of that dtype and owns its memory is kept
     if isinstance(a, np.ndarray) and a.base is None and not a.flags.writeable:

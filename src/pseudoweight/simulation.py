@@ -43,7 +43,7 @@ from .errors import (
     NonConvergenceError,
     PseudoweightError,
 )
-from .estimators import Method, MethodSpec, estimate_each
+from .estimators import Method, _distinct_methods, estimate_each
 from .parallel import _fork_queue, _usable_cpus
 from .samples import CohortSample, DesignInfo, DesignKind, SurveySample
 
@@ -397,7 +397,7 @@ class _Study:
     population: FinitePopulation
     pi_p: np.ndarray
     d: np.ndarray
-    specs: tuple
+    methods: tuple
     base_seed: int
 
 
@@ -428,7 +428,7 @@ def _replicate(study: _Study, cell: ScenarioConfig, pi_c: np.ndarray, rep: int):
         a.flags.writeable = False
     cohort = CohortSample(y=y_c, X=X_c)
     survey = SurveySample(X_p, d_p, DesignInfo(DesignKind.POISSON))
-    results = estimate_each(study.specs, cohort, survey, true_participation=pi_c[inc_c])
+    results = estimate_each(study.methods, cohort, survey, true_participation=pi_c[inc_c])
     return cohort.n_c, tuple(
         type(r).__name__
         if isinstance(r, PseudoweightError)
@@ -533,9 +533,10 @@ def run_monte_carlo(
     method's aggregates and counted in ``n_excluded``; a method left with
     fewer than two replicates gets ``nan`` for every metric it reports.
     Fewer than two ``replicates`` raise :class:`InsufficientReplicatesError`
-    and a cell whose root bracket fails raises :class:`CellInfeasibleError`,
-    both before any replicate runs; a root search failing in a worker
-    raises the latter once every worker has ended.
+    and a method named twice :class:`PseudoweightError`, both before the
+    population is made.  A cell whose root bracket fails raises
+    :class:`CellInfeasibleError` before any replicate runs; a root search
+    failing in a worker raises it once every worker has ended.
 
     On Linux, cells run in one forked process per usable CPU, capped at the
     number of replicates in the grid; with one CPU, or on other platforms,
@@ -544,8 +545,8 @@ def run_monte_carlo(
     """
     if replicates < 2:
         raise InsufficientReplicatesError("need at least two replicates for a variance")
+    methods = _distinct_methods(methods)
     population = generate_population(population_config)
-    methods = tuple(Method(m) for m in methods)
     cells = [ScenarioConfig(Scenario(s), float(f_c), f_p) for s in scenarios for f_c in f_c_grid]
     for cell in cells:  # Brent's method checks its bracket, then stops at this tolerance
         _for_cell(cell, lambda *args: _brentq(*_intercept_equation(*args), math.inf), population)
@@ -553,7 +554,7 @@ def run_monte_carlo(
         _, pi_p = calibrate_survey_const(population, f_p)
     except InfeasibleTargetError as exc:
         raise CellInfeasibleError(f"the survey cannot be calibrated: {exc}") from exc
-    study = _Study(population, pi_p, 1.0 / pi_p, tuple(map(MethodSpec, methods)), base_seed)
+    study = _Study(population, pi_p, 1.0 / pi_p, methods, base_seed)
     outcomes = _run_replicates(study, cells, replicates)
     return SimulationReport(
         mu_true=population.mu,

@@ -10,9 +10,11 @@ One kernel, :func:`tl_variance`, serves every method, and it reads data,
 not a fit.  ``b`` solves ``(sum a x x') b = sum u (y - mu) x`` over cohort
 rows (``b = 0`` when the weights are treated as fixed), the cohort
 component sums ``factor * ((y - mu)/q - b.x)^2`` over the squared weight
-total, and the design component is ``b' D b``.  Methods differ only in the
-per-unit arrays ``(a, u, q, factor)`` and the matrix ``D``; the table of
-each method's lives in :func:`pseudoweight.estimators.estimate_from_fit`.
+total, and the design component is ``b' D b``.  It returns the two
+components as the pair ``(v_cohort, v_design)``, whose sum is the
+variance.  Methods differ only in the per-unit arrays ``(a, u, q, factor)``
+and the matrix ``D``; the table of each method's lives in
+:func:`pseudoweight.estimators.estimate_from_fit`.
 
 The stratified and iid designs share one with-replacement PSU formula over
 integer PSU codes: the stratified design reads them from the survey's
@@ -26,63 +28,11 @@ normalizing total alike.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import DesignError
 from .samples import CohortSample, DesignKind, SurveySample
 from .solvers import _guarded_solve
-
-
-@dataclass(frozen=True)
-class VarianceBreakdown:
-    """Total variance and its cohort/design split.
-
-    ``v_cohort`` can be negative when many fitted probabilities exceed one
-    half; the total is still reported, with a warning, rather than failing.
-    """
-
-    v_cohort: float
-    v_design: float
-    v_total: float
-    warnings: tuple = ()
-
-
-def compute_b_hat(
-    cohort: CohortSample, a: np.ndarray, u: np.ndarray, mu_hat: float
-) -> np.ndarray:
-    """Linearization coefficient ``b``.
-
-    Solves ``(sum a x x') b = sum u (y - mu) x`` over cohort rows without
-    forming an explicit inverse; each method's per-unit arrays ``a`` and
-    ``u`` are given by :func:`pseudoweight.estimators.estimate_from_fit`.
-    """
-    X = cohort.X
-    A = X.T @ (a[:, None] * X)
-    rhs = (u * (cohort.y - mu_hat)) @ X
-    return _guarded_solve(A, rhs, "linearization system")
-
-
-def variance_cohort_component(
-    cohort: CohortSample,
-    q: np.ndarray,
-    factor: np.ndarray,
-    weights: np.ndarray,
-    mu_hat: float,
-    b_hat: np.ndarray,
-) -> float:
-    """Cohort-side variance plug-in ``sum factor * ((y - mu)/q - b.x)^2 /
-    (sum weights)^2``, for a method's per-unit arrays ``q`` and ``factor``.
-
-    With the membership factor ``(1 - p)(1 - 2p)``, terms with fitted
-    probability above one half contribute negatively; the sum is returned
-    as-is.
-    """
-    n_hat_c = float(np.sum(weights))
-    resid = (cohort.y - mu_hat) / q - cohort.X @ b_hat
-    total = float(np.sum(factor * resid**2))
-    return total / n_hat_c**2
 
 
 def _psu_design_matrix(
@@ -205,26 +155,28 @@ def tl_variance(
     q: np.ndarray,
     factor: np.ndarray,
     design_matrix=None,
-) -> VarianceBreakdown:
-    """Assemble the linearized variance for a pseudo-weighted mean.
+) -> tuple[float, float]:
+    """The linearized variance of a pseudo-weighted mean, as its cohort and
+    design components ``(v_cohort, v_design)``; the variance is their sum.
 
     ``weights`` are the method's pseudo-weights for the cohort units and
     ``a``, ``u``, ``q`` and ``factor`` its per-unit arrays (see the module
     docstring).  ``a=None`` treats the weights as fixed: ``b = 0``, so
-    neither ``u`` nor a design term enters.  ``design_matrix`` is a
-    function returning the survey's design matrix ``D``, which lets methods
-    sharing a fit build it once; None means no design term.
-
-    A negative cohort component is reported with a warning rather than
-    raised: it is a known small-sample behaviour of the membership-form
-    plug-in when many fitted probabilities exceed one half.
+    neither ``u`` nor a design term enters.  ``design_matrix`` is a function
+    returning the survey's design matrix ``D``, which lets methods sharing a
+    fit build it once; None means no design term.  ``v_cohort`` is negative
+    when units whose membership factor ``(1 - p)(1 - 2p)`` is below zero
+    (``p`` above one half) outweigh the rest; it is returned as-is.
     """
-    b_hat = np.zeros(cohort.n_covariates) if a is None else compute_b_hat(cohort, a, u, mu_hat)
-    v_cohort = variance_cohort_component(cohort, q, factor, weights, mu_hat, b_hat)
+    X = cohort.X
+    if a is None:
+        b_hat = np.zeros(cohort.n_covariates)
+    else:  # solved without forming an explicit inverse
+        A = X.T @ (a[:, None] * X)
+        rhs = (u * (cohort.y - mu_hat)) @ X
+        b_hat = _guarded_solve(A, rhs, "linearization system")
+    n_hat_c = float(np.sum(weights))
+    resid = (cohort.y - mu_hat) / q - X @ b_hat
+    v_cohort = float(np.sum(factor * resid**2)) / n_hat_c**2
     v_design = float(b_hat @ design_matrix() @ b_hat) if design_matrix else 0.0
-    return VarianceBreakdown(
-        v_cohort=v_cohort,
-        v_design=v_design,
-        v_total=v_cohort + v_design,
-        warnings=("negative-cohort-component",) if v_cohort < 0 else (),
-    )
+    return v_cohort, v_design

@@ -3,11 +3,13 @@
 import numpy as np
 from scipy.special import expit
 
-from pseudoweight import DesignKind, FitFlavor, Method
+from pseudoweight import DesignKind, Method
 
 
-def score_at(flavor, coefficients, cohort, survey, lam=1.0):
-    """Evaluate the (scale-free) estimating equation at given coefficients.
+def score_at(method, coefficients, cohort, survey, lam=1.0):
+    """Evaluate the (scale-free) estimating equation at given coefficients:
+    the participation-score system for ``Method.CLW``, else the pooled
+    membership system.
 
     Returns the raw score divided by the pooled row count, matching the
     solvers' convergence convention, so a converged solution satisfies
@@ -15,15 +17,13 @@ def score_at(flavor, coefficients, cohort, survey, lam=1.0):
     """
     coefficients = np.asarray(coefficients, dtype=float)
     n_rows = cohort.n_c + survey.n_p
-    if flavor is FitFlavor.POOLED_MEMBERSHIP:
-        p_c = expit(cohort.X @ coefficients)
-        p_s = expit(survey.X @ coefficients)
-        raw = (1.0 - p_c) @ cohort.X - (lam * survey.d * p_s) @ survey.X
-    elif flavor is FitFlavor.CLW_SCORE:
+    if method is Method.CLW:
         pi_s = expit(survey.X @ coefficients)
         raw = cohort.X.sum(axis=0) - (survey.d * pi_s) @ survey.X
     else:
-        raise ValueError(f"unknown fit flavor {flavor!r}")
+        p_c = expit(cohort.X @ coefficients)
+        p_s = expit(survey.X @ coefficients)
+        raw = (1.0 - p_c) @ cohort.X - (lam * survey.d * p_s) @ survey.X
     return raw / n_rows
 
 

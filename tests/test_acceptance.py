@@ -33,7 +33,6 @@ from pseudoweight import (
     CohortSample,
     DesignInfo,
     DesignKind,
-    FitFlavor,
     Method,
     PopulationConfig,
     Scenario,
@@ -42,7 +41,6 @@ from pseudoweight import (
     alps_weights,
     build_pooled_matrix,
     clw_weights,
-    compute_b_hat,
     default_lambda,
     design_variance_poisson,
     design_variance_stratified,
@@ -53,7 +51,7 @@ from pseudoweight import (
     hajek_mean,
     rdw_rescale_factor,
     run_monte_carlo,
-    variance_cohort_component,
+    tl_variance,
 )
 from pseudoweight.cli import main
 
@@ -316,7 +314,7 @@ def test_criterion_06_solvers_match_grid_search_oracle():
 
         grid = _staged_grid_argmin(batch, cohort.X.shape[1])
         worst_gap = max(worst_gap, float(np.abs(fit.beta - grid).max()))
-        s = score_at(FitFlavor.POOLED_MEMBERSHIP, fit.beta, cohort, survey)
+        s = score_at(Method.ALP, fit.beta, cohort, survey)
         worst_score = max(worst_score, float(np.abs(s).max()))
 
     clw = _solvable_instances(rng, _clw_instance, fit_clw_score, 25)
@@ -330,7 +328,7 @@ def test_criterion_06_solvers_match_grid_search_oracle():
 
         grid = _staged_grid_argmin(batch, cohort.X.shape[1])
         worst_gap = max(worst_gap, float(np.abs(fit.beta - grid).max()))
-        s = score_at(FitFlavor.CLW_SCORE, fit.beta, cohort, survey)
+        s = score_at(Method.CLW, fit.beta, cohort, survey)
         worst_score = max(worst_score, float(np.abs(s).max()))
 
     ok = worst_gap <= 1e-3 and worst_score <= 1e-10
@@ -390,7 +388,12 @@ def test_criterion_08_variance_formula_oracles():
         p = rng.uniform(0.05, 0.7, n)
         w = (1 - p) / p
         mu = float(rng.normal(2.0, 0.2))
-        b = compute_b_hat(CohortSample(y=y, X=X), w * p, w, mu)
+        cohort = CohortSample(y=y, X=X)
+        arrays = w * p, w, p, (1 - p) * (1 - 2 * p)
+        # b_j^2 read through the design component with D = e_j e_j'
+        b_sq = np.array(
+            [tl_variance(cohort, w, mu, *arrays, lambda e=e: np.outer(e, e))[1] for e in np.eye(2)]
+        )
 
         A = np.zeros((2, 2))
         rhs = np.zeros(2)
@@ -398,14 +401,12 @@ def test_criterion_08_variance_formula_oracles():
             A += w[i] * p[i] * np.outer(X[i], X[i])
             rhs += w[i] * (y[i] - mu) * X[i]
         b_ref = np.linalg.inv(A) @ rhs
-        worst = max(worst, float(np.abs(b - b_ref).max() / max(np.abs(b_ref).max(), 1e-12)))
+        worst = max(worst, float(np.abs(b_sq - b_ref**2).max() / max((b_ref**2).max(), 1e-12)))
 
-        v = variance_cohort_component(
-            CohortSample(y=y, X=X), p, (1 - p) * (1 - 2 * p), w, mu, b
-        )
+        v, _ = tl_variance(cohort, w, mu, *arrays)
         total = 0.0
         for i in range(n):
-            resid = (y[i] - mu) / p[i] - float(np.dot(b, X[i]))
+            resid = (y[i] - mu) / p[i] - float(np.dot(b_ref, X[i]))
             total += (1 - p[i]) * (1 - 2 * p[i]) * resid**2
         v_ref = total / float(w.sum()) ** 2
         worst = max(worst, abs(v - v_ref) / max(abs(v_ref), 1e-12))

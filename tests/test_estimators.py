@@ -16,12 +16,14 @@ from pseudoweight import (
     alp_weights,
     alps_weights,
     clw_weights,
+    default_lambda,
     estimate,
     estimate_each,
     estimate_from_fit,
     fdw_weights,
     fit_for_method,
     hajek_mean,
+    rdw_rescale_factor,
 )
 
 PROPERTY_SETTINGS = settings(max_examples=150, deadline=None, derandomize=True)
@@ -63,7 +65,7 @@ class TestWeightFormulas:
         # the rescaled fit estimates the participation rate directly
         cohort, survey = synthetic_pair()
         fit = fit_for_method(Method.RDW, cohort, survey)
-        res = estimate_from_fit(MethodSpec(Method.RDW), fit, cohort, survey)
+        res = estimate_from_fit(Method.RDW, fit, cohort, survey)
         np.testing.assert_allclose(res.weights * fit.p_hat_cohort, 1.0, atol=1e-12)
 
     def test_clw_examples(self):
@@ -257,6 +259,15 @@ class TestEstimate:
         odds_mean = hajek_mean(cohort.y, alp_weights(fit.p_hat_cohort))
         assert mu == pytest.approx(odds_mean, rel=1e-9)
 
+    @pytest.mark.parametrize("method", [m for m in Method if m is not Method.TW])
+    def test_method_spec_estimates_like_its_method_byte_for_byte(self, method):
+        # perfbench's checks pass a MethodSpec to estimate
+        cohort, survey = synthetic_pair(seed=7)
+        wrapped = estimate(MethodSpec(method), cohort, survey)
+        plain = estimate(method, cohort, survey)
+        assert repr(wrapped) == repr(plain)
+        assert wrapped.weights.tobytes() == plain.weights.tobytes()
+
     def test_rare_participation_alp_fdw_means_close(self):
         cohort, survey = synthetic_pair(seed=6, n_c=40, n_p=250, d_scale=60.0)
         alp = estimate(Method.ALP, cohort, survey)
@@ -265,11 +276,23 @@ class TestEstimate:
 
 
 class TestEstimateEach:
+    def test_fit_keys_name_the_fit_methods_share(self):
+        from pseudoweight.estimators import fit_key
+
+        cohort, survey = synthetic_pair()
+        keys = {m: fit_key(m, cohort, survey) for m in Method}
+        assert keys[Method.NAIVE] is None and keys[Method.TW] is None
+        assert keys[Method.CLW] is Method.CLW
+        assert keys[Method.ALP] == keys[Method.FDW] == 1.0
+        assert keys[Method.RDW] == rdw_rescale_factor(cohort.n_c, survey.d)
+        assert keys[Method.ALPS] == default_lambda(cohort.n_c, survey.d)
+        assert all(type(keys[m]) is float for m in (Method.ALP, Method.RDW, Method.ALPS))
+
     def test_each_spec_gets_its_estimate_or_its_error(self):
         # a survey this light makes rdw's rescale factor nonpositive
         cohort, survey = synthetic_pair(n_c=200, n_p=20, d_scale=1.25)
-        specs = [MethodSpec(m) for m in (Method.ALP, Method.RDW, Method.NAIVE)]
-        alp, rdw, naive = estimate_each(specs, cohort, survey)
+        methods = (Method.ALP, Method.RDW, Method.NAIVE)
+        alp, rdw, naive = estimate_each(methods, cohort, survey)
         assert isinstance(rdw, RescaleError)
         ref = estimate(Method.ALP, cohort, survey)
         assert (alp.mu_hat, alp.var_hat) == (ref.mu_hat, ref.var_hat)
@@ -292,7 +315,7 @@ class TestEstimateEach:
             return real(survey, p_hat_survey, weight_multiplier)
 
         monkeypatch.setattr(variance, "design_variance_poisson", counted)
-        together = estimate_each([MethodSpec(m) for m in methods], cohort, survey)
+        together = estimate_each(methods, cohort, survey)
         assert built == [1.0, cohort.n_c / float(np.sum(survey.d))]
         for a, b in zip(alone, together):
             assert repr(a) == repr(b)
@@ -316,7 +339,7 @@ class TestEstimateEach:
 
         monkeypatch.setattr(estimators, "pooled_rows", counted_rows)
         monkeypatch.setattr(estimators, "build_pooled_matrix", recorded_build)
-        together = estimate_each([MethodSpec(m) for m in methods], cohort, survey)
+        together = estimate_each(methods, cohort, survey)
         # alp/fdw, rdw and alps: three fits, one read-only stack
         assert len(stacks) == 1 and len(pooled) == 3
         (X, R), = stacks
@@ -338,10 +361,10 @@ class TestEstimateEach:
         survey = SurveySample(X=survey.X, d=survey.d, design=DesignInfo(kind=kind, **labels))
         pi = np.linspace(0.05, 0.6, cohort.n_c)
         methods = tuple(Method)
-        shared = estimate_each([MethodSpec(m) for m in methods], cohort, survey, pi)
+        shared = estimate_each(methods, cohort, survey, pi)
         for m, b in zip(methods, shared):
             fit = fit_for_method(m, cohort, survey)
-            a = estimate_from_fit(MethodSpec(m), fit, cohort, survey, true_participation=pi)
+            a = estimate_from_fit(m, fit, cohort, survey, true_participation=pi)
             assert (a.method, a.mu_hat, a.var_hat, a.ci_low, a.ci_high, a.warnings) == (
                 b.method, b.mu_hat, b.var_hat, b.ci_low, b.ci_high, b.warnings
             )

@@ -451,6 +451,42 @@ class TestEstimationJob:
             run_estimation_job(job)
         assert type(info.value) is PseudoweightError
 
+    def test_empty_method_list_is_rejected_before_any_file_is_read(self, tmp_path):
+        dump = tmp_path / "w.csv"
+        job = EstimationJob(
+            cohort_path=str(tmp_path / "missing-cohort.csv"),
+            survey_path=str(tmp_path / "missing-survey.csv"),
+            outcome_column="y",
+            covariate_columns=("x1",),
+            weight_column="w",
+            methods=(),
+            dump_weights_path=str(dump),
+        )
+        with pytest.raises(PseudoweightError, match="no methods given") as info:
+            run_estimation_job(job)
+        assert type(info.value) is PseudoweightError
+        assert not dump.exists()
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_method_whose_key_raises_does_not_take_a_fit_group(
+        self, tmp_path, monkeypatch, no_child_left, cpus
+    ):
+        # survey weights totalling less than the cohort make rdw's rescale
+        # factor negative, so its fit key raises; alp's key is 1.0, which a
+        # raising method keyed by its index, 1, would replace
+        cohort, survey, _ = self_paired_files(tmp_path)
+        with open(survey) as fh:
+            text = fh.read()
+        write(tmp_path / "survey.csv", text.replace(",1.0\n", ",0.9\n"))
+        job = EstimationJob(
+            cohort, survey, "y", ("x1", "x2"), "w",
+            design_kind=DesignKind.IID,
+            methods=(Method.ALP, Method.RDW),
+        )
+        error, message = job_outcome(monkeypatch, cpus, job)
+        assert error == "RescaleError"
+        assert "rescale" in message
+
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     def test_non_finite_survey_outcome_is_a_validation_error(self, tmp_path, value):
         job = EstimationJob(
@@ -1000,6 +1036,7 @@ class TestCli:
         [
             (ESTIMATE_ARGV + ["--methods", "alp,tw"], None, 2, "runs only under simulate"),
             (ESTIMATE_ARGV + ["--methods", "alp,ALP"], None, 1, "'alp' is requested more than once"),
+            (["simulate"], '{"methods": ["alp", "alp"]}', 1, "'alp' is requested more than once"),
             (["simulate"], '{"replicates": 3,', 1, "sim.json is not valid JSON"),
             (["simulate"], '"abc"', 1, "sim.json must hold a JSON object, not str"),
             (["simulate"], '{"scenarios": ["loglog"]}', 1, "'loglog' is not a valid Scenario"),
@@ -1012,6 +1049,7 @@ class TestCli:
         ids=[
             "estimate-tw",
             "estimate-repeated-method",
+            "simulate-repeated-method",
             "malformed-json",
             "config-not-an-object",
             "unknown-scenario",

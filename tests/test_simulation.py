@@ -19,6 +19,7 @@ from pseudoweight import (
     Method,
     NonConvergenceError,
     PopulationConfig,
+    PseudoweightError,
     Scenario,
     calibrate_participation_intercept,
     calibrate_survey_const,
@@ -431,12 +432,12 @@ def test_package_error_in_one_estimate_excludes_only_that_replicate(monkeypatch)
     real = estimators.estimate_from_fit
     fdw_calls = []
 
-    def failing_on_second_fdw(spec, *args, **kwargs):
-        if spec.method is Method.FDW:
-            fdw_calls.append(spec)
+    def failing_on_second_fdw(method, *args, **kwargs):
+        if method is Method.FDW:
+            fdw_calls.append(method)
             if len(fdw_calls) == 2:
                 raise DesignError("injected design failure")
-        return real(spec, *args, **kwargs)
+        return real(method, *args, **kwargs)
 
     monkeypatch.setattr(estimators, "estimate_from_fit", failing_on_second_fdw)
     report = run_monte_carlo(**study)
@@ -507,12 +508,12 @@ def test_method_left_with_one_replicate_reports_nan_metrics(monkeypatch):
     real = estimators.estimate_from_fit
     calls = {Method.NAIVE: 0, Method.FDW: 0}
 
-    def all_but_the_first_fail(spec, *args, **kwargs):
-        if spec.method in calls:
-            calls[spec.method] += 1
-            if calls[spec.method] > 1:
+    def all_but_the_first_fail(method, *args, **kwargs):
+        if method in calls:
+            calls[method] += 1
+            if calls[method] > 1:
                 raise DesignError("injected design failure")
-        return real(spec, *args, **kwargs)
+        return real(method, *args, **kwargs)
 
     monkeypatch.setattr(estimators, "estimate_from_fit", all_but_the_first_fail)
     naive, alp, fdw = run_monte_carlo(**study).cells
@@ -588,10 +589,10 @@ class TestReplicateEngine:
         # keyed on the replicate's content, which a forked worker sees too
         real = estimators.estimate_from_fit
 
-        def failing_on_cohort_size(spec, fit, cohort, *args, **kwargs):
-            if spec.method is Method.FDW and cohort.n_c % 5 == 0:
+        def failing_on_cohort_size(method, fit, cohort, *args, **kwargs):
+            if method is Method.FDW and cohort.n_c % 5 == 0:
                 raise DesignError("injected design failure")
-            return real(spec, fit, cohort, *args, **kwargs)
+            return real(method, fit, cohort, *args, **kwargs)
 
         monkeypatch.setattr(estimators, "estimate_from_fit", failing_on_cohort_size)
         study = small_grid(replicates=4)
@@ -721,6 +722,16 @@ def test_pieces_are_whole_cells_unless_workers_outnumber_them(costs, replicates,
     # every replicate of every cell is in exactly one piece
     covered = sorted((c, rep) for c, reps in pieces for rep in reps)
     assert covered == [(c, rep) for c in range(len(costs)) for rep in range(replicates)]
+
+
+def test_repeated_method_is_rejected_before_the_population_is_made(monkeypatch):
+    made = []
+    monkeypatch.setattr(simulation, "generate_population", made.append)
+    study = small_grid(methods=("alp", Method.FDW, Method.ALP))
+    with pytest.raises(PseudoweightError, match="method 'alp' is requested more than once") as info:
+        run_monte_carlo(**study)
+    assert type(info.value) is PseudoweightError
+    assert made == []
 
 
 @pytest.mark.parametrize("cpus", [1, 2])

@@ -14,8 +14,8 @@ from hypothesis import strategies as st
 
 from pseudoweight import (
     CohortSample,
-    FitFlavor,
     InfeasibleTotalsError,
+    Method,
     NonConvergenceError,
     SingularSystemError,
     SurveySample,
@@ -49,8 +49,8 @@ def sample_pairs(draw):
     return cohort, survey
 
 
-def assert_solved(fit, flavor, cohort, survey, lam):
-    assert np.abs(score_at(flavor, fit.beta, cohort, survey, lam)).max() <= solvers.TOL
+def assert_solved(fit, method, cohort, survey, lam):
+    assert np.abs(score_at(method, fit.beta, cohort, survey, lam)).max() <= solvers.TOL
     path = fit.score_norm_path
     assert all(later <= earlier for earlier, later in zip(path, path[1:]))
     assert fit.final_score_norm == path[-1]
@@ -64,7 +64,7 @@ def test_pooled_fit_solves_its_score_or_raises_a_solver_error(pair, lam):
         fit = fit_pooled_logistic(build_pooled_matrix(cohort, survey, lam))
     except SOLVER_ERRORS:
         return
-    assert_solved(fit, FitFlavor.POOLED_MEMBERSHIP, cohort, survey, lam)
+    assert_solved(fit, Method.ALP, cohort, survey, lam)
 
 
 @PROPERTY_SETTINGS
@@ -75,7 +75,7 @@ def test_clw_fit_solves_its_score_or_raises_a_solver_error(pair):
         fit = fit_clw_score(cohort, survey)
     except SOLVER_ERRORS:
         return
-    assert_solved(fit, FitFlavor.CLW_SCORE, cohort, survey, 1.0)
+    assert_solved(fit, Method.CLW, cohort, survey, 1.0)
 
 
 def test_clw_divergence_reraised_as_infeasible_totals(monkeypatch):

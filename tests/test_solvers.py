@@ -11,7 +11,6 @@ from scipy.special import expit
 from pseudoweight import (
     CohortSample,
     DomainError,
-    FitFlavor,
     InfeasibleTotalsError,
     Method,
     NonConvergenceError,
@@ -135,7 +134,7 @@ class TestPooledLogistic:
             fit_pooled_logistic(build_pooled_matrix(cohort, survey))
         assert err.value.iterations == 2
         assert err.value.score_norm == path[2] > solvers.TOL
-        s = score_at(FitFlavor.POOLED_MEMBERSHIP, err.value.coefficients, cohort, survey)
+        s = score_at(Method.ALP, err.value.coefficients, cohort, survey)
         assert np.abs(s).max() == pytest.approx(err.value.score_norm, rel=1e-9)
 
 
@@ -177,7 +176,7 @@ class TestClwScore:
     def test_flavor_and_lambda(self):
         cohort = CohortSample(y=np.zeros(3), X=GRID_CLW_XC)
         survey = SurveySample(X=GRID_CLW_XP, d=GRID_CLW_D)
-        assert fit_key(Method.CLW, cohort, survey) == (FitFlavor.CLW_SCORE, 1.0)
+        assert fit_key(Method.CLW, cohort, survey) is Method.CLW
         assert fit_clw_score(cohort, survey).lam == 1.0
 
     def test_infeasible_cohort_count_raises_immediately(self):
@@ -201,20 +200,20 @@ class TestScoreAt:
         cohort = CohortSample(y=np.zeros(4), X=GRID_POOLED_XC)
         survey = SurveySample(X=GRID_POOLED_XP, d=GRID_POOLED_D)
         fit = fit_pooled_logistic(build_pooled_matrix(cohort, survey))
-        s = score_at(FitFlavor.POOLED_MEMBERSHIP, fit.beta, cohort, survey)
+        s = score_at(Method.ALP, fit.beta, cohort, survey)
         assert np.abs(s).max() <= 1e-10
 
     def test_zero_at_clw_solution(self):
         cohort = CohortSample(y=np.zeros(3), X=GRID_CLW_XC)
         survey = SurveySample(X=GRID_CLW_XP, d=GRID_CLW_D)
         fit = fit_clw_score(cohort, survey)
-        s = score_at(FitFlavor.CLW_SCORE, fit.beta, cohort, survey)
+        s = score_at(Method.CLW, fit.beta, cohort, survey)
         assert np.abs(s).max() <= 1e-10
 
     def test_value_at_zero_coefficients_intercept_only(self):
         # p = 1/2 everywhere at zero coefficients
         cohort, survey = intercept_only(50, [25.0, 25.0, 25.0, 25.0])
-        s = score_at(FitFlavor.POOLED_MEMBERSHIP, np.zeros(1), cohort, survey)
+        s = score_at(Method.ALP, np.zeros(1), cohort, survey)
         expected = (50 * 0.5 - 100 * 0.5) / (50 + 4)
         assert s[0] == pytest.approx(expected, abs=1e-12)
 
@@ -223,20 +222,20 @@ class TestScoreAt:
         survey = SurveySample(X=GRID_POOLED_XP, d=GRID_POOLED_D)
         fit = fit_pooled_logistic(build_pooled_matrix(cohort, survey))
         base = np.linalg.norm(
-            score_at(FitFlavor.POOLED_MEMBERSHIP, fit.beta, cohort, survey)
+            score_at(Method.ALP, fit.beta, cohort, survey)
         )
         for j in range(2):
             bumped = fit.beta.copy()
             bumped[j] += 0.01
             norm = np.linalg.norm(
-                score_at(FitFlavor.POOLED_MEMBERSHIP, bumped, cohort, survey)
+                score_at(Method.ALP, bumped, cohort, survey)
             )
             assert norm > base
 
     def test_lambda_scaling_enters_pooled_score(self):
         cohort, survey = intercept_only(10, [10.0, 10.0])
-        s_full = score_at(FitFlavor.POOLED_MEMBERSHIP, np.zeros(1), cohort, survey, lam=1.0)
-        s_half = score_at(FitFlavor.POOLED_MEMBERSHIP, np.zeros(1), cohort, survey, lam=0.5)
+        s_full = score_at(Method.ALP, np.zeros(1), cohort, survey, lam=1.0)
+        s_half = score_at(Method.ALP, np.zeros(1), cohort, survey, lam=0.5)
         # halving lambda removes half the survey-side pull: + 0.5 * sum(d)/2
         assert s_full[0] == pytest.approx((10 * 0.5 - 20 * 0.5) / 12, abs=1e-12)
         assert s_half[0] == pytest.approx(s_full[0] + 0.5 * 20 * 0.5 / 12, abs=1e-12)

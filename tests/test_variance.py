@@ -1,4 +1,5 @@
 import itertools
+from dataclasses import replace
 from functools import partial
 
 import numpy as np
@@ -12,17 +13,15 @@ from pseudoweight import (
     DesignInfo,
     DesignKind,
     Method,
-    MethodSpec,
     SurveySample,
-    compute_b_hat,
     design_variance_iid,
     design_variance_poisson,
     design_variance_stratified,
     estimate,
     estimate_each,
+    estimate_from_fit,
     fit_for_method,
     tl_variance,
-    variance_cohort_component,
 )
 
 from oracles import linearized_variance
@@ -49,38 +48,56 @@ def random_cohort(rng, n=10, p_extra=1):
     return CohortSample(y=y, X=X)
 
 
+def explicit_b(c, a, u, mu):
+    """``b`` of ``(sum a x x') b = sum u (y - mu) x``, by a loop and an
+    explicit inverse."""
+    k = c.n_covariates
+    A = np.zeros((k, k))
+    rhs = np.zeros(k)
+    for i in range(c.n_c):
+        A += a[i] * np.outer(c.X[i], c.X[i])
+        rhs += u[i] * (c.y[i] - mu) * c.X[i]
+    return np.linalg.inv(A) @ rhs
+
+
+def assert_b(c, a, u, mu, b_ref, rtol):
+    """``tl_variance`` solves ``(a, u)`` for ``b_ref``.
+
+    The design component ``b' D b`` with ``D = e_j e_j'`` reads ``b_j^2``.
+    With ``q``, ``factor`` and the weights set to one, the cohort component
+    is ``sum ((y - mu) - b.x)^2 / n^2``, which also carries ``b``'s sign.
+    """
+    ones = np.ones(c.n_c)
+    parts = [
+        tl_variance(c, ones, mu, a, u, ones, ones, lambda e=e: np.outer(e, e))
+        for e in np.eye(c.n_covariates)
+    ]
+    np.testing.assert_allclose([v_design for _, v_design in parts], b_ref**2, rtol=rtol, atol=1e-24)
+    resid = (c.y - mu) - c.X @ b_ref
+    assert parts[0][0] == pytest.approx(float(resid @ resid) / c.n_c**2, rel=rtol, abs=1e-24)
+
+
 class TestBHat:
     def test_zero_when_outcome_constant(self):
         c = CohortSample(y=np.full(4, 3.3), X=np.column_stack([np.ones(4), np.arange(4.0)]))
-        b = compute_b_hat(c, np.full(4, 0.3), np.ones(4), 3.3)
-        np.testing.assert_allclose(b, 0.0, atol=1e-12)
+        assert_b(c, np.full(4, 0.3), np.ones(4), 3.3, np.zeros(2), rtol=1e-12)
 
     def test_intercept_only_scalar_reduction(self):
         y = np.array([1.0, 2.0, 4.0])
         p = np.array([0.2, 0.3, 0.4])
         c = CohortSample(y=y, X=np.ones((3, 1)))
-        b = compute_b_hat(c, p, np.ones(3), 2.0)
-        assert b[0] == pytest.approx(((y - 2.0).sum()) / p.sum(), abs=1e-12)
+        assert_b(c, p, np.ones(3), 2.0, np.array([(y - 2.0).sum() / p.sum()]), rtol=1e-12)
 
     def test_matches_frozen_dense_solve(self):
         c = CohortSample(y=B_HAT_Y, X=B_HAT_X)
-        b = compute_b_hat(c, B_HAT_P, np.ones(5), 1.8)
-        np.testing.assert_allclose(b, B_HAT_EXPECTED, atol=1e-7)
+        assert_b(c, B_HAT_P, np.ones(5), 1.8, B_HAT_EXPECTED, rtol=1e-7)
 
     def test_weighted_variant_scales_both_sums(self):
         rng = np.random.default_rng(21)
         c = random_cohort(rng)
         p = rng.uniform(0.1, 0.5, c.n_c)
         w = (1 - p) / p
-        b = compute_b_hat(c, w * p, w, 1.9)
-        # independent loop re-implementation with an explicit inverse
-        A = np.zeros((2, 2))
-        rhs = np.zeros(2)
-        for i in range(c.n_c):
-            xi = c.X[i]
-            A += w[i] * p[i] * np.outer(xi, xi)
-            rhs += w[i] * (c.y[i] - 1.9) * xi
-        np.testing.assert_allclose(b, np.linalg.inv(A) @ rhs, rtol=1e-10)
+        assert_b(c, w * p, w, 1.9, explicit_b(c, w * p, w, 1.9), rtol=1e-10)
 
     def test_residual_of_defining_system(self):
         rng = np.random.default_rng(22)
@@ -88,28 +105,25 @@ class TestBHat:
             c = random_cohort(rng, n=12, p_extra=2)
             p = rng.uniform(0.05, 0.6, c.n_c)
             w = (1 - p) / p
-            b = compute_b_hat(c, w * p, w, 2.1)
             A = c.X.T @ ((w * p)[:, None] * c.X)
             rhs = (w * (c.y - 2.1)) @ c.X
-            assert np.linalg.norm(A @ b - rhs) <= 1e-8 * max(np.linalg.norm(rhs), 1.0)
+            assert_b(c, w * p, w, 2.1, np.linalg.inv(A) @ rhs, rtol=1e-8)
 
 
 class TestCohortComponent:
     def test_zero_when_residuals_vanish(self):
         c = CohortSample(y=np.full(4, 1.1), X=np.ones((4, 1)))
-        v = variance_cohort_component(
-            c, np.full(4, 0.3), np.full(4, 0.7 * 0.4), np.ones(4), 1.1, np.zeros(1)
-        )
-        assert v == 0.0
+        v = tl_variance(c, np.ones(4), 1.1, None, None, np.full(4, 0.3), np.full(4, 0.7 * 0.4))
+        assert v == (0.0, 0.0)
 
     def test_single_unit_arithmetic(self):
         # p = 0.2, y - mu = 1, b = 0, weight total 4:
         # (1/16) * 0.8 * 0.6 * 25 = 0.75
         c = CohortSample(y=np.array([3.0]), X=np.ones((1, 1)))
-        v = variance_cohort_component(
-            c, np.array([0.2]), np.array([0.8 * 0.6]), np.array([4.0]), 2.0, np.zeros(1)
+        v_cohort, _ = tl_variance(
+            c, np.array([4.0]), 2.0, None, None, np.array([0.2]), np.array([0.8 * 0.6])
         )
-        assert v == pytest.approx(0.75, abs=1e-12)
+        assert v_cohort == pytest.approx(0.75, abs=1e-12)
 
     def test_matches_independent_loop(self):
         rng = np.random.default_rng(23)
@@ -118,8 +132,8 @@ class TestCohortComponent:
             p = rng.uniform(0.05, 0.7, c.n_c)
             w = (1 - p) / p
             mu = float(rng.normal(2.0, 0.3))
-            b = compute_b_hat(c, w * p, w, mu)
-            v = variance_cohort_component(c, p, (1 - p) * (1 - 2 * p), w, mu, b)
+            v, _ = tl_variance(c, w, mu, *membership_arrays(w, p))
+            b = explicit_b(c, w * p, w, mu)
             total = 0.0
             for i in range(c.n_c):
                 resid = (c.y[i] - mu) / p[i] - float(np.dot(b, c.X[i]))
@@ -134,13 +148,14 @@ class TestCohortComponent:
             pi = rng.uniform(0.05, 0.6, c.n_c)
             w = 1.0 / pi
             mu = 2.0
-            b = compute_b_hat(c, 1 - pi, (1 - pi) / pi, mu)
-            v = variance_cohort_component(c, pi, 1 - pi, w, mu, b)
+            v, _ = tl_variance(c, w, mu, 1 - pi, (1 - pi) / pi, pi, 1 - pi)
+            b = explicit_b(c, 1 - pi, (1 - pi) / pi, mu)
             total = 0.0
             for i in range(c.n_c):
                 resid = (c.y[i] - mu) / pi[i] - float(np.dot(b, c.X[i]))
                 total += (1 - pi[i]) * resid**2
             assert v == pytest.approx(total / float(w.sum()) ** 2, rel=1e-10)
+
 
 
 class TestPoissonDesign:
@@ -328,21 +343,22 @@ class TestTlVariance:
     def test_census_survey_kills_design_component(self):
         cohort, survey = self.make_pair()
         census = SurveySample(X=survey.X, d=np.ones(survey.n_p))
-        vb = self.alp_variance(cohort, census)
-        assert vb.v_design == 0.0
-        assert vb.v_total == vb.v_cohort
+        _, v_design = self.alp_variance(cohort, census)
+        assert v_design == 0.0
 
     def test_constant_outcome_gives_zero_variance(self):
         cohort, survey = self.make_pair()
         const = CohortSample(y=np.full(cohort.n_c, 2.2), X=cohort.X)
-        vb = self.alp_variance(const, survey, mu=2.2)
-        assert vb.v_total == pytest.approx(0.0, abs=1e-18)
+        v_cohort, v_design = self.alp_variance(const, survey, mu=2.2)
+        assert v_cohort + v_design == pytest.approx(0.0, abs=1e-18)
 
     def test_breakdown_adds_up(self):
         cohort, survey = self.make_pair()
-        vb = self.alp_variance(cohort, survey)
-        assert vb.v_total == pytest.approx(vb.v_cohort + vb.v_design, rel=1e-12)
-        assert vb.v_design >= 0.0
+        v_cohort, v_design = self.alp_variance(cohort, survey)
+        res = estimate(Method.ALP, cohort, survey)
+        assert res.var_hat == pytest.approx(v_cohort + v_design, rel=1e-12)
+        assert v_design >= 0.0
+        assert res.warnings == ()
 
     def test_scaled_weights_enter_design_matrix_literally(self):
         # under Poisson sampling, using (lam * d, p) inside the design matrix
@@ -372,9 +388,14 @@ class TestTlVariance:
         p_fake = np.full(n, 0.75)
         w = (1 - p_fake) / p_fake
         design = partial(design_variance_poisson, survey, fit.p_hat_survey)
-        vb = tl_variance(c, w, float(c.y.mean()), *membership_arrays(w, p_fake), design)
-        assert vb.v_cohort < 0
-        assert "negative-cohort-component" in vb.warnings
+        v_cohort, v_design = tl_variance(
+            c, w, float(c.y.mean()), *membership_arrays(w, p_fake), design
+        )
+        assert v_cohort < 0
+        # estimate_from_fit reports the sum and names the negative component
+        res = estimate_from_fit(Method.ALP, replace(fit, p_hat_cohort=p_fake), c, survey)
+        assert res.var_hat == v_cohort + v_design
+        assert "negative-cohort-component" in res.warnings
 
     def test_fixed_weight_variance_matches_loop(self):
         # a=None: the weights are fixed, so b = 0 and there is no design term
@@ -385,19 +406,20 @@ class TestTlVariance:
         mu = 2.0
         w = 1.0 / pi
         expected = float(np.sum((1 - pi) * w**2 * (c.y - mu) ** 2) / w.sum() ** 2)
-        vb = tl_variance(c, w, mu, None, None, pi, 1 - pi)
-        assert vb.v_total == pytest.approx(expected, rel=1e-12)
-        assert vb.v_design == 0.0
+        v_cohort, v_design = tl_variance(c, w, mu, None, None, pi, 1 - pi)
+        assert v_cohort == pytest.approx(expected, rel=1e-12)
+        assert v_design == 0.0
 
     def test_clw_variance_uses_participation_form(self):
         cohort, survey = self.make_pair(seed=34)
         fit = fit_for_method(Method.CLW, cohort, survey)
         res = estimate(Method.CLW, cohort, survey)
         pi, mu = fit.p_hat_cohort, res.mu_hat
-        b = compute_b_hat(cohort, 1 - pi, (1 - pi) / pi, mu)
-        v1 = variance_cohort_component(cohort, pi, 1 - pi, res.weights, mu, b)
         D = design_variance_poisson(survey, fit.p_hat_survey)
-        assert res.var_hat == pytest.approx(v1 + b @ D @ b, rel=1e-12)
+        v_cohort, v_design = tl_variance(
+            cohort, res.weights, mu, 1 - pi, (1 - pi) / pi, pi, 1 - pi, lambda: D
+        )
+        assert res.var_hat == pytest.approx(v_cohort + v_design, rel=1e-12)
 
 
 def designed_pair(kind, seed=35, n_c=150):
@@ -424,9 +446,7 @@ VARIANCE_METHODS = (Method.TW, Method.ALP, Method.FDW, Method.RDW, Method.CLW, M
 @pytest.mark.parametrize("method", VARIANCE_METHODS, ids=lambda m: m.value)
 def test_every_method_variance_matches_loop_reference(method, kind):
     cohort, survey, pi = designed_pair(kind)
-    results = estimate_each(
-        [MethodSpec(m) for m in VARIANCE_METHODS], cohort, survey, true_participation=pi
-    )
+    results = estimate_each(VARIANCE_METHODS, cohort, survey, true_participation=pi)
     got = results[VARIANCE_METHODS.index(method)]
     fit = fit_for_method(method, cohort, survey)
     expected = linearized_variance(method, fit, cohort, survey, pi)
