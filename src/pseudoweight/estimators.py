@@ -196,6 +196,7 @@ def estimate_from_fit(
     arrays carry the pseudo-weights, so cohort sums that stand in for
     population totals are inverse-participation weighted.
     """
+    method = Method(method)
     arrays = design = None
     warnings = ()
     if method is Method.NAIVE:
@@ -230,8 +231,6 @@ def estimate_from_fit(
                 # participation scale of the scaled fit, intercept included
                 p = np.exp(cohort.X @ fit.beta)
                 design = partial(_design_matrix, survey, np.exp(survey.X @ fit.beta), fit.lam)
-            else:  # pragma: no cover - exhaustive
-                raise ValueError(f"unknown method {method!r}")
             arrays = w * p, w, p, (1.0 - p) * (1.0 - 2.0 * p)
     mu = hajek_mean(cohort.y, w)
     var = None
@@ -253,7 +252,8 @@ def estimate_from_fit(
 
 
 def estimate_each(methods, cohort, survey, true_participation=None) -> list:
-    """Run every :class:`Method` on already-validated samples, in order.
+    """Run every :class:`Method`, or method name, on already-validated
+    samples, in order; an unknown name raises ``ValueError`` before any fit.
 
     Each entry of the result is the method's :class:`WeightedEstimate` or
     the :class:`PseudoweightError` that stopped it.  Methods with equal
@@ -261,7 +261,7 @@ def estimate_each(methods, cohort, survey, true_participation=None) -> list:
     matrix, built when first needed; pooled fits share one :func:`pooled_rows`.
     """
     fits, results, rows = {}, [], None
-    for method in methods:
+    for method in list(map(Method, methods)):
         try:
             key = fit_key(method, cohort, survey)
             if key not in fits:
@@ -285,18 +285,18 @@ def estimate_each(methods, cohort, survey, true_participation=None) -> list:
 
 
 def estimate(
-    method: Method | MethodSpec,
+    method: Method | str | MethodSpec,
     cohort: CohortSample,
     survey: SurveySample,
     true_participation: np.ndarray | None = None,
 ) -> WeightedEstimate:
     """Validate, fit, weight, and estimate in one call.
 
+    ``method`` is a :class:`Method`, its name or a :class:`MethodSpec`.
     Raises :class:`ValidationError` when the paired samples fail validation;
     solver and weight-domain errors propagate.
     """
-    if isinstance(method, MethodSpec):
-        method = method.method
+    method = Method(method.method if isinstance(method, MethodSpec) else method)
     validate_paired_samples(cohort, survey)
     (result,) = estimate_each([method], cohort, survey, true_participation)
     if isinstance(result, PseudoweightError):

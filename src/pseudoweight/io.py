@@ -23,7 +23,8 @@ more), each read by that loop in forked children and this process, and
 reads a file whole after them only when one of its blocks cannot be split
 or parsed.  Other files are read whole, the cohort in a forked child.
 
-Reports are emitted deterministically: same results, byte-identical file.
+Reports are emitted deterministically, each cell as ``csv.writer`` writes
+it (None empty, a float as its ``repr``): same results, byte-identical file.
 """
 
 from __future__ import annotations
@@ -34,10 +35,10 @@ import math
 import os
 import warnings as _warnings
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 from functools import partial
 from io import BytesIO, TextIOWrapper
-from itertools import accumulate, chain, compress, islice, repeat
+from itertools import accumulate, chain, compress, count, islice, repeat
 from operator import itemgetter, not_
 
 import numpy as np
@@ -58,17 +59,7 @@ from .samples import (
     validate_paired_samples,
 )
 from .parallel import _fork_map, _usable_cpus
-
-
-def _fmt(value) -> str:
-    """Shortest round-trip decimal for floats; empty string for missing."""
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        if value != value:  # NaN
-            return "nan"
-        return repr(value)
-    return str(value)
+from .simulation import CellResult
 
 
 @contextmanager
@@ -524,10 +515,8 @@ def _write_table(path, header, rows, what="report"):
 
 
 def _dump_weights(weight_dump, path):
-    methods = list(weight_dump)
-    n = len(next(iter(weight_dump.values())))
-    rows = ([i] + [_fmt(float(weight_dump[m][i])) for m in methods] for i in range(n))
-    _write_table(path, ["unit"] + methods, rows, what="weights")
+    rows = zip(count(), *(w.tolist() for w in weight_dump.values()))
+    _write_table(path, ["unit", *weight_dump], rows, what="weights")
 
 
 _COLUMN_ORDER = (
@@ -563,42 +552,27 @@ def emit_report(results, path):
         raise IoError("refusing to write an empty report")
     columns = [c for c in _COLUMN_ORDER if any(c in r for r in results)]
     if not str(path).endswith(".json"):
-        _write_table(path, columns, ([_fmt(r.get(c)) for c in columns] for r in results))
+        _write_table(path, columns, ([r.get(c) for c in columns] for r in results))
         return
     payload = json.dumps([{c: _json(r.get(c)) for c in columns} for r in results], indent=2)
     with _create(path, "report") as fh:
         fh.write(payload + "\n")
 
 
-_SIM_COLUMNS = (
-    "scenario",
-    "f_c",
-    "method",
-    "pct_rb",
-    "v_emp",
-    "vr",
-    "mse",
-    "cp",
-    "n_replicates",
-    "n_excluded",
-    "mean_cohort_size",
-    "warnings",
-)
-
-
 def emit_simulation_report(report, path):
     """Write a Monte Carlo :class:`~pseudoweight.simulation.SimulationReport`
     as a delimited table.
 
-    One row per (scenario, participation rate, method); every column but
-    ``warnings`` is the :class:`CellResult` field of its name.  Deterministic
+    One row per (scenario, participation rate, method) and one column per
+    :class:`CellResult` field, in order; ``warning_counts`` is written as
+    ``warnings``, its ``code: count`` pairs joined by ``; ``.  Deterministic
     byte-for-byte for identical reports.
     """
     if not report.cells:
         raise IoError("refusing to write an empty simulation report")
+    header = [f.name for f in fields(CellResult)[:-1]] + ["warnings"]
     rows = (
-        [_fmt(getattr(cell, c)) for c in _SIM_COLUMNS[:-1]]
-        + ["; ".join(f"{k}: {v}" for k, v in cell.warning_counts)]
+        [*astuple(cell)[:-1], "; ".join(f"{k}: {v}" for k, v in cell.warning_counts)]
         for cell in report.cells
     )
-    _write_table(path, _SIM_COLUMNS, rows)
+    _write_table(path, header, rows)

@@ -358,19 +358,20 @@ def compute_metrics(
 
 @dataclass(frozen=True)
 class CellResult:
-    """Aggregated metrics for one (scenario, rate, method) cell."""
+    """Aggregated metrics for one (scenario, rate, method) cell; the fields
+    are the columns of :func:`~pseudoweight.io.emit_simulation_report`, in order."""
 
     scenario: str
     f_c: float
     method: str
+    pct_rb: float
+    v_emp: float
+    vr: float | None
+    mse: float
+    cp: float | None
     n_replicates: int
     n_excluded: int
     mean_cohort_size: float
-    pct_rb: float
-    v_emp: float
-    mse: float
-    vr: float | None
-    cp: float | None
     warning_counts: tuple = ()
 
 

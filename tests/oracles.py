@@ -1,5 +1,8 @@
 """Reference computations the tests check the package against."""
 
+import csv
+import io
+
 import numpy as np
 from scipy.special import expit
 
@@ -101,3 +104,26 @@ def linearized_variance(method, fit, cohort, survey, true_participation=None):
                 D += a_h / (a_h - 1.0) * np.outer(z_l - z.mean(axis=0), z_l - z.mean(axis=0))
     D /= float(np.sum(w_s)) ** 2
     return v_cohort + float(b @ D @ b)
+
+
+def report_cell(value):
+    """One cell of a report or weight dump by the written rule: the
+    shortest round-trip decimal for a float, ``nan`` for NaN, an empty
+    string for None and ``str`` of anything else."""
+    if value is None:
+        return ""
+    if isinstance(value, float):
+        if value != value:  # NaN
+            return "nan"
+        return repr(value)
+    return str(value)
+
+
+def table_bytes(header, rows):
+    """The bytes of a comma-separated table of ``header`` and ``rows``,
+    every cell formatted by :func:`report_cell`, quoted where ``csv`` quotes."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows([report_cell(v) for v in row] for row in rows)
+    return out.getvalue().encode()

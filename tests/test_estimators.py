@@ -268,6 +268,25 @@ class TestEstimate:
         assert repr(wrapped) == repr(plain)
         assert wrapped.weights.tobytes() == plain.weights.tobytes()
 
+    @pytest.mark.parametrize("method", list(Method))
+    def test_method_name_estimates_like_its_method(self, method):
+        cohort, survey = synthetic_pair(seed=7)
+        pi = np.full(cohort.n_c, 0.25) if method is Method.TW else None
+        plain = estimate(method, cohort, survey, pi)
+        for named in (
+            estimate(method.value, cohort, survey, pi),
+            estimate_each([method.value], cohort, survey, pi)[0],
+        ):
+            assert repr(named) == repr(plain)
+            assert named.weights.tobytes() == plain.weights.tobytes()
+
+    def test_unknown_method_name_is_rejected_by_the_enum(self):
+        cohort, survey = synthetic_pair()
+        with pytest.raises(ValueError, match="'xyz' is not a valid Method"):
+            estimate("xyz", cohort, survey)
+        with pytest.raises(ValueError, match="'xyz' is not a valid Method"):
+            estimate_each([Method.ALP, "xyz"], cohort, survey)
+
     def test_rare_participation_alp_fdw_means_close(self):
         cohort, survey = synthetic_pair(seed=6, n_c=40, n_p=250, d_scale=60.0)
         alp = estimate(Method.ALP, cohort, survey)
@@ -298,6 +317,14 @@ class TestEstimateEach:
         assert (alp.mu_hat, alp.var_hat) == (ref.mu_hat, ref.var_hat)
         assert naive.mu_hat == float(np.mean(cohort.y))
 
+
+    def test_method_names_share_fits_like_their_methods(self):
+        cohort, survey = synthetic_pair(seed=7)
+        pi = np.full(cohort.n_c, 0.25)
+        named = estimate_each([m.value for m in Method], cohort, survey, pi)
+        for a, b in zip(named, estimate_each(list(Method), cohort, survey, pi)):
+            assert repr(a) == repr(b)
+            assert a.weights.tobytes() == b.weights.tobytes()
 
     def test_methods_sharing_a_fit_build_its_design_matrix_once(self, monkeypatch):
         # alp and fdw share the unscaled fit and its survey probabilities;

@@ -26,12 +26,16 @@ from pseudoweight import (
     SurveySample,
     ValidationError,
     emit_report,
+    emit_simulation_report,
     estimate,
     ingest_delimited,
     run_estimation_job,
 )
 from pseudoweight import estimators, io
 from pseudoweight.cli import main
+from pseudoweight.simulation import CellResult, SimulationReport
+
+from oracles import table_bytes
 
 
 def write(path, text):
@@ -175,6 +179,58 @@ class TestEmitReport:
         assert doc["variance"] == -0.07
         emit_report(rows, tmp_path / "r.csv")
         assert ",-0.07,nan,nan," in (tmp_path / "r.csv").read_text()
+
+    # NaN, the infinities, -0.0, the least subnormal, 17-digit doubles
+    FLOATS = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 0.30000000000000004,
+              1.2345678901234567e-300, 2.0]
+    CELLS = FLOATS + [None, 7, -12, "alp", 'a, "b"', ""]
+
+    def test_csv_cells_follow_the_reference_rule(self, tmp_path):
+        columns = io._COLUMN_ORDER
+        rows = [
+            {c: self.CELLS[(i + j) % len(self.CELLS)] for j, c in enumerate(columns)}
+            for i in range(len(self.CELLS))
+        ]
+        emit_report(rows, tmp_path / "r.csv")
+        expected = table_bytes(columns, ([r[c] for c in columns] for r in rows))
+        assert (tmp_path / "r.csv").read_bytes() == expected
+
+    def test_numpy_float_cell_is_written_as_its_float(self, tmp_path):
+        row = dict(self.ROWS[0], estimate=0.1 + 0.2, variance=math.nan)
+        emit_report([row], tmp_path / "float.csv")
+        as_numpy = dict(row, estimate=np.float64(row["estimate"]), variance=np.float64("nan"))
+        emit_report([as_numpy], tmp_path / "numpy.csv")
+        assert (tmp_path / "numpy.csv").read_bytes() == (tmp_path / "float.csv").read_bytes()
+
+    def test_simulation_report_cells_follow_the_reference_rule(self, tmp_path):
+        floats = self.FLOATS
+        cells = [
+            CellResult(
+                scenario=("log", "a, b")[i % 2],
+                f_c=floats[i],
+                method="alp",
+                pct_rb=floats[(i + 1) % len(floats)],
+                v_emp=floats[(i + 2) % len(floats)],
+                vr=None if i % 3 == 0 else floats[(i + 3) % len(floats)],
+                mse=floats[(i + 4) % len(floats)],
+                cp=None if i % 3 == 0 else floats[(i + 5) % len(floats)],
+                n_replicates=1000 - i,
+                n_excluded=i,
+                mean_cohort_size=floats[(i + 6) % len(floats)],
+                warning_counts=(("negative-cohort-component", i), ("pi-hat-above-one", 3))[: i % 3],
+            )
+            for i in range(len(floats))
+        ]
+        out = tmp_path / "sim.csv"
+        emit_simulation_report(SimulationReport(1.0, 100, 1000, 1, tuple(cells)), out)
+        header = ["scenario", "f_c", "method", "pct_rb", "v_emp", "vr", "mse", "cp",
+                  "n_replicates", "n_excluded", "mean_cohort_size", "warnings"]
+        rows = (
+            [getattr(cell, c) for c in header[:-1]]
+            + ["; ".join(f"{k}: {v}" for k, v in cell.warning_counts)]
+            for cell in cells
+        )
+        assert out.read_bytes() == table_bytes(header, rows)
 
 
 def self_paired_files(tmp_path, n=60, seed=0):
@@ -1096,7 +1152,10 @@ class TestCli:
         assert main(["simulate", "--config", cfg_path, "--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
         header = out1.read_text().splitlines()[0]
-        assert header.startswith("scenario,f_c,method,pct_rb,v_emp,vr,mse,cp")
+        assert header == (
+            "scenario,f_c,method,pct_rb,v_emp,vr,mse,cp,"
+            "n_replicates,n_excluded,mean_cohort_size,warnings"
+        )
 
     @pytest.mark.parametrize("key", ["f_c_grid", "scenarios"])
     def test_simulate_with_no_cells_refuses_an_empty_report(self, tmp_path, capsys, key):

@@ -2,7 +2,8 @@
 
 Ingest returns the kept rows' numbers bit-exact and their labels trimmed,
 the skip notice names the file lines of the skipped rows (blank lines
-counted), and a weight dump parses back to the same doubles.  The columnar
+counted), and a weight dump writes the cells the reference rule in
+``oracles`` writes and parses back to the same doubles.  The columnar
 reader gives what the row-at-a-time reader kept below gives, whatever its
 block size, and names the line of a byte that is not UTF-8.  So does the
 span reader, in any number of spans, on the files that are plain, and it
@@ -19,7 +20,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pseudoweight import (
@@ -30,6 +31,8 @@ from pseudoweight import (
 )
 from pseudoweight import io
 from pseudoweight.io import _dump_weights
+
+from oracles import table_bytes
 
 PROPERTY_SETTINGS = settings(max_examples=150, deadline=None, derandomize=True)
 DOUBLES = st.floats(allow_nan=False, width=64)
@@ -137,24 +140,34 @@ def test_ingest_keeps_rows_bit_exact_and_reports_skipped_lines(case):
 
 @st.composite
 def weight_dumps(draw):
-    """One to four methods' weights for the same 1-30 cohort units."""
+    """One to four methods' weights for the same 1-30 cohort units, NaN
+    (of any sign or payload) and the infinities among them."""
     n = draw(st.integers(1, 30))
-    columns = draw(st.lists(st.lists(DOUBLES, min_size=n, max_size=n), min_size=1, max_size=4))
+    weights = st.floats(width=64)
+    columns = draw(st.lists(st.lists(weights, min_size=n, max_size=n), min_size=1, max_size=4))
     return {f"m{j}": np.array(c) for j, c in enumerate(columns)}
 
 
 @PROPERTY_SETTINGS
 @given(weight_dumps())
+@example({"m0": np.array([np.nan, -np.nan, np.inf, -np.inf, -0.0, 5e-324, 0.1 + 0.2])})
 def test_weight_dump_parses_back_to_the_same_doubles(weights):
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "weights.csv")
         _dump_weights(weights, path)
-        with open(path, newline="", encoding="utf-8") as fh:
-            header, *rows = list(csv.reader(fh))
+        with open(path, "rb") as fh:
+            written = fh.read()
+    n = len(weights["m0"])
+    # every cell as the reference rule writes it, NaN as "nan"
+    rows = ([i] + [float(w[i]) for w in weights.values()] for i in range(n))
+    assert written == table_bytes(["unit"] + list(weights), rows)
+    header, *rows = list(csv.reader(written.decode().splitlines()))
     assert header == ["unit"] + list(weights)
-    assert [int(r[0]) for r in rows] == list(range(len(weights["m0"])))
-    for j, m in enumerate(weights, start=1):
-        assert_bits([float(r[j]) for r in rows], weights[m])
+    assert [int(r[0]) for r in rows] == list(range(n))
+    for j, w in enumerate(weights.values(), start=1):
+        got = np.array([float(r[j]) for r in rows])
+        np.testing.assert_array_equal(np.isnan(got), np.isnan(w))
+        assert_bits(got[~np.isnan(w)], w[~np.isnan(w)])
 
 
 def reference_read_columns(path, numeric, labels=()):
