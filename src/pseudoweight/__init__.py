@@ -29,17 +29,14 @@ from .errors import (
 from .estimators import (
     Method,
     MethodSpec,
-    alp_weights,
-    alps_weights,
-    clw_weights,
     estimate,
     estimate_each,
     estimate_from_fit,
-    fdw_weights,
     fit_for_method,
     hajek_mean,
 )
 from .io import (
+    EstimateRow,
     EstimationJob,
     emit_report,
     emit_simulation_report,
@@ -61,14 +58,12 @@ from .samples import (
 )
 from .simulation import (
     FinitePopulation,
-    MetricRecord,
     PopulationConfig,
     Scenario,
     ScenarioConfig,
     SimulationReport,
     calibrate_participation_intercept,
     calibrate_survey_const,
-    compute_metrics,
     generate_population,
     participation_probabilities,
     poisson_sample,

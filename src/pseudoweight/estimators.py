@@ -9,7 +9,9 @@ The catalogue:
     available only in simulation.  Variance treats the weights as fixed.
 ``alp``
     Pooled membership fit with unscaled survey weights; weight
-    ``(1 - p)/p``, the inverse of the implied participation rate.
+    ``(1 - p)/p``, the inverse of the implied participation rate.  Units
+    with ``p`` above one half (an implied rate above one) are counted in a
+    warning.
 ``fdw``
     Same fit as ``alp`` but weight ``1/p`` (no odds transform); nearly
     unbiased only when participation rates are all close to zero.
@@ -30,7 +32,8 @@ All weighted means are ratio (Hajek) estimators, invariant to rescaling the
 weight vector.
 
 Each method's weights, variance arrays and design matrix are defined once,
-in :func:`estimate_from_fit`.
+in :func:`estimate_from_fit`.  For ``alp``, ``fdw`` and ``rdw`` a fitted
+probability outside the open interval (0, 1) raises :class:`DomainError`.
 """
 
 from __future__ import annotations
@@ -92,40 +95,6 @@ def _check_probs(p: np.ndarray) -> None:
         raise DomainError("fitted probabilities must lie strictly inside (0, 1)")
 
 
-def alp_weights(p_hat_cohort: np.ndarray) -> np.ndarray:
-    """Inverse implied participation rate ``(1 - p)/p``.
-
-    A fitted probability above one half implies a participation rate above
-    one (weight below one); such units are counted in a warning.
-    """
-    _check_probs(p_hat_cohort)
-    return (1.0 - p_hat_cohort) / p_hat_cohort
-
-
-def fdw_weights(p_hat_cohort: np.ndarray) -> np.ndarray:
-    """Reciprocal fitted probability ``1/p`` (odds transform skipped)."""
-    _check_probs(p_hat_cohort)
-    return 1.0 / p_hat_cohort
-
-
-def clw_weights(gamma_hat: np.ndarray, cohort_X: np.ndarray) -> np.ndarray:
-    """Inverse modelled participation rate ``1 + exp(-gamma . x)``."""
-    eta = np.asarray(cohort_X) @ np.asarray(gamma_hat, dtype=float)
-    return 1.0 + np.exp(-eta)
-
-
-def alps_weights(beta_lambda_hat: np.ndarray, cohort_X: np.ndarray) -> np.ndarray:
-    """Scaled-fit weight ``exp(-b1 . x1)``, intercept excluded.
-
-    Only the slope coefficients enter: the scaled fit biases the intercept,
-    and a constant factor cancels in the ratio estimator anyway, so the
-    weight never reads coefficient zero.
-    """
-    beta = np.asarray(beta_lambda_hat, dtype=float)
-    X1 = np.asarray(cohort_X)[:, 1:]
-    return np.exp(-(X1 @ beta[1:]))
-
-
 def hajek_mean(y: np.ndarray, weights: np.ndarray) -> float:
     """Ratio-form weighted mean, invariant to rescaling the weights."""
     y = np.asarray(y, dtype=float)
@@ -140,11 +109,13 @@ def hajek_mean(y: np.ndarray, weights: np.ndarray) -> float:
     return float((w * y).sum() / total)
 
 
-def fit_key(method: Method, cohort: CohortSample, survey: SurveySample):
-    """The fit a method needs: None for naive and tw, ``Method.CLW`` for the
-    participation-score fit, or the pooled fit's survey-weight multiplier (a
-    float).  Methods with equal keys share one fit; ``rdw``'s key raises
-    :class:`RescaleError` when its factor would be nonpositive."""
+def fit_key(method: Method | str, cohort: CohortSample, survey: SurveySample):
+    """The fit a :class:`Method`, or method name, needs: None for naive and
+    tw, ``Method.CLW`` for the participation-score fit, or the pooled fit's
+    survey-weight multiplier (a float).  Methods with equal keys share one
+    fit; ``rdw``'s key raises :class:`RescaleError` when its factor would be
+    nonpositive."""
+    method = Method(method)
     if method in (Method.NAIVE, Method.TW):
         return None
     if method is Method.CLW:
@@ -168,15 +139,6 @@ def fit_for_method(
     if key is Method.CLW:
         return fit_clw_score(cohort, survey)
     return fit_pooled_logistic(build_pooled_matrix(cohort, survey, key, rows))
-
-
-def _interval(mu: float, var: float | None):
-    if var is None:
-        return None, None
-    if var < 0 or not math.isfinite(var):
-        return math.nan, math.nan
-    half = Z_95 * math.sqrt(var)
-    return mu - half, mu + half
 
 
 def estimate_from_fit(
@@ -214,32 +176,39 @@ def estimate_from_fit(
             design = partial(_design_matrix, survey, fit.p_hat_survey, fit.lam)
         p = fit.p_hat_cohort
         if method is Method.CLW:
-            w = clw_weights(fit.beta, cohort.X)
+            w = 1.0 + np.exp(-(cohort.X @ fit.beta))
             arrays = 1.0 - p, (1.0 - p) / p, p, 1.0 - p
         else:
-            if method is Method.ALP:
-                n_above = int(np.sum(p > 0.5))
-                if n_above:
-                    warnings = (f"pi-hat-above-one: {n_above}",)
-                w = alp_weights(p)
-            elif method in (Method.FDW, Method.RDW):
-                w = fdw_weights(p)
-                warnings = ("variance-approximation: membership-form plug-in reused",)
-            elif method is Method.ALPS:
-                w = alps_weights(fit.beta, cohort.X)
+            if method is Method.ALPS:
+                # the slopes only: the scaled fit biases the intercept, and a
+                # constant factor cancels in the ratio estimator anyway
+                w = np.exp(-(cohort.X[:, 1:] @ fit.beta[1:]))
                 # the substitution rule evaluates the variance formulas on the
                 # participation scale of the scaled fit, intercept included
                 p = np.exp(cohort.X @ fit.beta)
                 design = partial(_design_matrix, survey, np.exp(survey.X @ fit.beta), fit.lam)
+            else:
+                _check_probs(p)
+                if method is Method.ALP:
+                    n_above = int(np.sum(p > 0.5))
+                    if n_above:
+                        warnings = (f"pi-hat-above-one: {n_above}",)
+                    w = (1.0 - p) / p
+                else:  # fdw and rdw
+                    w = 1.0 / p
+                    warnings = ("variance-approximation: membership-form plug-in reused",)
             arrays = w * p, w, p, (1.0 - p) * (1.0 - 2.0 * p)
     mu = hajek_mean(cohort.y, w)
-    var = None
+    var = lo = hi = None
     if arrays is not None:
         v_cohort, v_design = tl_variance(cohort, w, mu, *arrays, design)
         if v_cohort < 0:  # reported, not raised (see tl_variance)
             warnings += ("negative-cohort-component",)
         var = v_cohort + v_design
-    lo, hi = _interval(mu, var)
+        lo = hi = math.nan  # a negative or non-finite variance has no interval
+        if var >= 0 and math.isfinite(var):
+            half = Z_95 * math.sqrt(var)
+            lo, hi = mu - half, mu + half
     return WeightedEstimate(
         method=method.value,
         mu_hat=mu,

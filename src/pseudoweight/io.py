@@ -400,11 +400,25 @@ class EstimationJob:
     dump_weights_path: str | None = None
 
 
-def _weight_summary(w: np.ndarray):
-    """The report's ``w_min``, ``w_max`` and ``w_cv`` columns."""
-    mean = float(np.mean(w))
-    cv = float(np.std(w, ddof=1) / mean) if w.size > 1 and mean != 0 else 0.0
-    return {"w_min": float(np.min(w)), "w_max": float(np.max(w)), "w_cv": cv}
+@dataclass(frozen=True)
+class EstimateRow:
+    """One method's row of the estimate report; the fields are the columns
+    of :func:`emit_report`, in order.  ``pct_rd`` and ``mse`` compare the
+    estimate with the design-weighted survey estimate, so both are None
+    when the survey has no outcome column (``mse`` also when the method has
+    no variance)."""
+
+    method: str
+    estimate: float
+    variance: float | None
+    ci_low: float | None
+    ci_high: float | None
+    pct_rd: float | None
+    mse: float | None
+    w_min: float
+    w_max: float
+    w_cv: float
+    warnings: str
 
 
 def _ingest(args, read_columns=None):
@@ -416,13 +430,14 @@ def _ingest(args, read_columns=None):
 
 
 def run_estimation_job(job: EstimationJob):
-    """Ingest both files, run every requested method, and build report rows.
+    """Ingest both files, run every requested method, and build one
+    :class:`EstimateRow` per method.
 
-    When the survey file carries the outcome column, each row also gets the
-    design-weighted reference estimate, the relative difference from it, and
-    the estimated squared error against it.  Warnings raised anywhere in the
-    pipeline surface in the row's ``warnings`` field.  The first package
-    error, in method order, is raised.  ``tw`` is rejected before either
+    When the survey file carries the outcome column, each row's ``pct_rd``
+    and ``mse`` are the relative difference from, and the estimated squared
+    error against, the design-weighted survey estimate.  Warnings raised
+    anywhere in the pipeline surface in the row's ``warnings`` field.  The
+    first package error, in method order, is raised.  ``tw`` is rejected before either
     file is read: it needs the known participation rates, which only a
     simulated study has.  So are an empty method list and a method named
     twice, which would write two report rows and two weight columns for it.
@@ -471,24 +486,28 @@ def run_estimation_job(job: EstimationJob):
     for result in map(done.get, range(len(methods))):
         if isinstance(result, PseudoweightError):
             raise result
-        row = {
-            "method": result.method,
-            "estimate": result.mu_hat,
-            "variance": result.var_hat,
-            "ci_low": result.ci_low,
-            "ci_high": result.ci_high,
-        }
+        mu, var, w = result.mu_hat, result.var_hat, result.weights
+        pct_rd = mse = None
         if mu_ref is not None:
-            row["pct_rd"] = (result.mu_hat - mu_ref) / mu_ref * 100.0
-            row["mse"] = (
-                (result.mu_hat - mu_ref) ** 2 + result.var_hat
-                if result.var_hat is not None
-                else None
+            pct_rd = (mu - mu_ref) / mu_ref * 100.0
+            mse = (mu - mu_ref) ** 2 + var if var is not None else None
+        mean = float(np.mean(w))
+        rows.append(
+            EstimateRow(
+                method=result.method,
+                estimate=mu,
+                variance=var,
+                ci_low=result.ci_low,
+                ci_high=result.ci_high,
+                pct_rd=pct_rd,
+                mse=mse,
+                w_min=float(np.min(w)),
+                w_max=float(np.max(w)),
+                w_cv=float(np.std(w, ddof=1) / mean) if w.size > 1 and mean != 0 else 0.0,
+                warnings="; ".join(result.warnings + ingest_warnings),
             )
-        row.update(_weight_summary(result.weights))
-        row["warnings"] = "; ".join(result.warnings + ingest_warnings)
-        rows.append(row)
-        weight_dump[result.method] = result.weights
+        )
+        weight_dump[result.method] = w
 
     if job.dump_weights_path:
         _dump_weights(weight_dump, job.dump_weights_path)
@@ -519,42 +538,33 @@ def _dump_weights(weight_dump, path):
     _write_table(path, ["unit", *weight_dump], rows, what="weights")
 
 
-_COLUMN_ORDER = (
-    "method",
-    "estimate",
-    "variance",
-    "ci_low",
-    "ci_high",
-    "pct_rd",
-    "mse",
-    "w_min",
-    "w_max",
-    "w_cv",
-    "warnings",
-)
-
-
 def _json(value):
     return None if isinstance(value, float) and not math.isfinite(value) else value
 
 
 def emit_report(results, path):
-    """Write estimation results as a delimited table or structured document.
+    """Write :class:`EstimateRow` results as a delimited table or structured
+    document.
 
     A path ending in ``.json`` gets a JSON document, in which a float that
     JSON cannot hold (the NaN interval of a negative variance) is ``null``;
-    any other path gets a delimited table.  Column order is fixed; optional
-    columns appear only when present in the rows.  Refuses to write an
-    empty report.
+    any other path gets a delimited table.  Both have one column per
+    :class:`EstimateRow` field, in order, except that ``pct_rd`` and ``mse``
+    are left out when no row has a ``pct_rd``: that is, when the survey has
+    no outcome column.  Refuses to write an empty report.
     """
     results = list(results)
     if not results:
         raise IoError("refusing to write an empty report")
-    columns = [c for c in _COLUMN_ORDER if any(c in r for r in results)]
+    columns = [f.name for f in fields(EstimateRow)]
+    if all(r.pct_rd is None for r in results):
+        columns.remove("pct_rd")
+        columns.remove("mse")
+    rows = [[getattr(r, c) for c in columns] for r in results]
     if not str(path).endswith(".json"):
-        _write_table(path, columns, ([r.get(c) for c in columns] for r in results))
+        _write_table(path, columns, rows)
         return
-    payload = json.dumps([{c: _json(r.get(c)) for c in columns} for r in results], indent=2)
+    payload = json.dumps([dict(zip(columns, map(_json, row))) for row in rows], indent=2)
     with _create(path, "report") as fh:
         fh.write(payload + "\n")
 

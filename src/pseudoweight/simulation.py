@@ -69,10 +69,6 @@ class Scenario(str, enum.Enum):
     LOG_LINK = "log"
     LOGIT_LINK = "logit"
 
-    @property
-    def code(self) -> int:
-        return 1 if self is Scenario.LOG_LINK else 2
-
 
 @dataclass(frozen=True)
 class PopulationConfig:
@@ -317,46 +313,6 @@ def poisson_sample(probabilities: np.ndarray, seed) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class MetricRecord:
-    """Cross-replicate summary for one estimator in one cell."""
-
-    pct_rb: float
-    v_emp: float
-    mse: float
-    vr: float | None
-    cp: float | None
-
-
-def compute_metrics(
-    estimates,
-    variance_estimates,
-    ci_hits,
-    mu_true: float,
-) -> MetricRecord:
-    """Relative bias, empirical variance, MSE, variance ratio, and coverage.
-
-    The empirical variance uses the ``B - 1`` denominator; the variance
-    ratio is the mean estimated variance over the empirical variance
-    (a ratio near one means calibrated).  ``variance_estimates`` and
-    ``ci_hits`` may be ``None`` for estimators without a variance.
-    """
-    est = np.asarray(estimates, dtype=float)
-    if est.size < 2:
-        raise InsufficientReplicatesError("need at least two replicates for a variance")
-    pct_rb = float(np.mean((est - mu_true) / mu_true) * 100.0)
-    v_emp = float(np.var(est, ddof=1))
-    mse = float(np.mean((est - mu_true) ** 2))
-    vr = None
-    cp = None
-    if variance_estimates is not None:
-        mean_v = float(np.mean(np.asarray(variance_estimates, dtype=float)))
-        vr = mean_v / v_emp if v_emp > 0 else float("nan")
-    if ci_hits is not None:
-        cp = float(np.mean(np.asarray(ci_hits, dtype=bool)))
-    return MetricRecord(pct_rb=pct_rb, v_emp=v_emp, mse=mse, vr=vr, cp=cp)
-
-
-@dataclass(frozen=True)
 class CellResult:
     """Aggregated metrics for one (scenario, rate, method) cell; the fields
     are the columns of :func:`~pseudoweight.io.emit_simulation_report`, in order."""
@@ -386,11 +342,6 @@ class SimulationReport:
     cells: tuple = ()
 
 
-def _replicate_seed(base_seed: int, scenario: Scenario, f_c: float, rep: int):
-    key = (scenario.code, int(round(f_c * 10_000)), rep)
-    return np.random.default_rng(np.random.SeedSequence(entropy=base_seed, spawn_key=key))
-
-
 @dataclass(frozen=True)
 class _Study:
     """What every replicate of a study reads besides its cell."""
@@ -413,14 +364,17 @@ def _for_cell(cell: ScenarioConfig, calibrate, population):
 
 def _replicate(study: _Study, cell: ScenarioConfig, pi_c: np.ndarray, rep: int):
     """Draw replicate ``rep`` of a cell of participation probabilities
-    ``pi_c`` and run every method on it.
+    ``pi_c``, from the generator its counter key spawns (see the module
+    docstring), and run every method on it.
 
     Returns the cohort size and, per method, ``(mu_hat, var_hat, ci_low,
     ci_high, warnings)`` or the class name of the package error that
     excluded the replicate.  Weight vectors are not returned.
     """
     population = study.population
-    rng = _replicate_seed(study.base_seed, cell.scenario, cell.f_c_target, rep)
+    code = 1 if cell.scenario is Scenario.LOG_LINK else 2
+    key = (code, int(round(cell.f_c_target * 10_000)), rep)
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=study.base_seed, spawn_key=key))
     inc_c = poisson_sample(pi_c, rng)
     inc_p = poisson_sample(study.pi_p, rng)
     X_c, X_p = population.X.take(inc_c, axis=0), population.X.take(inc_p, axis=0)
@@ -474,7 +428,13 @@ def _run_replicates(study: _Study, cells, replicates: int):
 
 def _cell_results(cell: ScenarioConfig, methods, outcomes, mu: float):
     """Reduce one cell's replicate outcomes, in replicate order, to one
-    :class:`CellResult` per method."""
+    :class:`CellResult` per method.
+
+    Over a method's kept replicates: the mean relative bias in percent, the
+    empirical variance (``B - 1`` denominator), the MSE against ``mu``, the
+    variance ratio (mean estimated variance over the empirical one; nan when
+    that is zero) and the interval coverage.  A method without a variance
+    (naive) has no ratio or coverage (None)."""
     results = []
     mean_cohort_size = float(np.mean([n_c for n_c, _ in outcomes]))
     for i, m in enumerate(methods):
@@ -491,24 +451,33 @@ def _cell_results(cell: ScenarioConfig, methods, outcomes, mu: float):
             if var_hat is not None:
                 var.append(var_hat)
                 hits.append(bool(np.isfinite(ci_low) and ci_low <= mu <= ci_high))
+        nan = float("nan")
         if len(est) >= 2:
-            metrics = compute_metrics(est, var or None, hits or None, mu)
+            e = np.asarray(est, dtype=float)
+            v_emp = float(np.var(e, ddof=1))
+            pct_rb = float(np.mean((e - mu) / mu) * 100.0)
+            mse = float(np.mean((e - mu) ** 2))
+            vr = (float(np.mean(var)) / v_emp if v_emp > 0 else nan) if var else None
+            cp = float(np.mean(hits)) if hits else None
         else:
             # too few kept replicates for a variance: the row keeps its
             # counts, and every metric the method reports reads nan
-            nan = float("nan")
-            no_variance = None if m is Method.NAIVE else nan
-            metrics = MetricRecord(nan, nan, nan, no_variance, no_variance)
+            pct_rb = v_emp = mse = nan
+            vr = cp = None if m is Method.NAIVE else nan
         results.append(
             CellResult(
                 scenario=cell.scenario.value,
                 f_c=cell.f_c_target,
                 method=m.value,
+                pct_rb=pct_rb,
+                v_emp=v_emp,
+                vr=vr,
+                mse=mse,
+                cp=cp,
                 n_replicates=len(est),
                 n_excluded=len(outcomes) - len(est),
                 mean_cohort_size=mean_cohort_size,
                 warning_counts=tuple(sorted(warn_counts.items())),
-                **vars(metrics),
             )
         )
     return results

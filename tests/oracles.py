@@ -1,4 +1,5 @@
-"""Reference computations the tests check the package against."""
+"""Reference computations the tests check the package against, and the
+hand-made fits they feed it."""
 
 import csv
 import io
@@ -6,7 +7,7 @@ import io
 import numpy as np
 from scipy.special import expit
 
-from pseudoweight import DesignKind, Method
+from pseudoweight import CohortSample, DesignKind, Method, PropensityFit, SurveySample
 
 
 def score_at(method, coefficients, cohort, survey, lam=1.0):
@@ -30,6 +31,63 @@ def score_at(method, coefficients, cohort, survey, lam=1.0):
     return raw / n_rows
 
 
+def pseudo_weights(method, fit, X, true_participation=None):
+    """A method's pseudo-weights for cohort covariate rows ``X``, by the
+    paper's expressions: ``tw`` ``1/pi``; ``alp`` ``(1 - p)/p`` and ``fdw``
+    and ``rdw`` ``1/p`` on the fit's membership probability ``p``; ``clw``
+    ``1 + exp(-gamma . x)``; ``alps`` ``exp(-b1 . x1)``, the intercept left
+    out; ``naive`` ones."""
+    X = np.asarray(X, dtype=float)
+    if method is Method.NAIVE:
+        return np.ones(X.shape[0])
+    if method is Method.TW:
+        return 1.0 / np.asarray(true_participation, dtype=float)
+    if method is Method.CLW:
+        return 1.0 + np.exp(-(X @ fit.beta))
+    if method is Method.ALPS:
+        return np.exp(-(X[:, 1:] @ fit.beta[1:]))
+    p = fit.p_hat_cohort
+    return (1.0 - p) / p if method is Method.ALP else 1.0 / p
+
+
+def hand_fit(X, p=None, beta=None):
+    """``(fit, cohort, survey)`` for ``estimate_from_fit`` around covariate
+    rows ``X``: a fit with coefficients ``beta`` (zeros by default) and
+    cohort probabilities ``p`` (``expit(X @ beta)`` by default), a cohort
+    of those rows with outcomes ``0, 1, ...``, and a survey of the same rows
+    at weight 2 whose fitted probabilities are all one half."""
+    X = np.asarray(X, dtype=float)
+    n, k = X.shape
+    beta = np.zeros(k) if beta is None else np.asarray(beta, dtype=float)
+    p = expit(X @ beta) if p is None else np.asarray(p, dtype=float)
+    fit = PropensityFit(beta, p, np.full(n, 0.5), 1.0, (0.0,))
+    cohort = CohortSample(y=np.arange(n, dtype=float), X=X)
+    return fit, cohort, SurveySample(X=X, d=np.full(n, 2.0))
+
+
+def cell_metrics(estimates, variances, hits, mu_true):
+    """A cell's study metrics from its kept replicates, as a dict of the
+    :class:`CellResult` fields they fill: ``pct_rb`` the mean of
+    ``100 (est - mu)/mu``, ``v_emp`` the variance with ``B - 1``
+    denominator, ``mse`` the mean of ``(est - mu)^2``, ``vr`` the mean of
+    ``variances`` over ``v_emp`` (nan when that is zero) and ``cp`` the
+    share of ``hits``; ``vr`` and ``cp`` are None without variances."""
+    B = len(estimates)
+    mean = sum(estimates) / B
+    v_emp = sum((e - mean) ** 2 for e in estimates) / (B - 1)
+    vr = cp = None
+    if variances:
+        vr = (sum(variances) / len(variances)) / v_emp if v_emp > 0 else float("nan")
+        cp = sum(map(bool, hits)) / len(hits)
+    return {
+        "pct_rb": sum(100.0 * (e - mu_true) / mu_true for e in estimates) / B,
+        "v_emp": v_emp,
+        "mse": sum((e - mu_true) ** 2 for e in estimates) / B,
+        "vr": vr,
+        "cp": cp,
+    }
+
+
 def linearized_variance(method, fit, cohort, survey, true_participation=None):
     """A method's linearized variance, unit by unit.
 
@@ -51,18 +109,13 @@ def linearized_variance(method, fit, cohort, survey, true_participation=None):
     """
     X, y = cohort.X, cohort.y
     n, k = X.shape
+    w = pseudo_weights(method, fit, X, true_participation)
     if method is Method.TW:
         q = np.asarray(true_participation, dtype=float)
-        w = 1.0 / q
     elif method is Method.ALPS:
         q = np.exp(X @ fit.beta)
-        w = np.exp(-(X[:, 1:] @ fit.beta[1:]))
-    elif method is Method.CLW:
-        q = fit.p_hat_cohort
-        w = 1.0 + np.exp(-(X @ fit.beta))
     else:
         q = fit.p_hat_cohort
-        w = (1.0 - q) / q if method is Method.ALP else 1.0 / q
     mu = float(np.sum(w * y) / np.sum(w))
 
     A, rhs, factor = np.zeros((k, k)), np.zeros(k), np.zeros(n)

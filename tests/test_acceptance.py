@@ -37,14 +37,11 @@ from pseudoweight import (
     PopulationConfig,
     Scenario,
     SurveySample,
-    alp_weights,
-    alps_weights,
     build_pooled_matrix,
-    clw_weights,
     default_lambda,
     design_variance_poisson,
     design_variance_stratified,
-    fdw_weights,
+    estimate_from_fit,
     fit_clw_score,
     fit_pooled_logistic,
     generate_population,
@@ -55,7 +52,7 @@ from pseudoweight import (
 )
 from pseudoweight.cli import main
 
-from oracles import score_at
+from oracles import hand_fit, score_at
 
 DESK_POPULATION = PopulationConfig(N=50_000, seed=2468)
 DESK_REPLICATES = 1000
@@ -346,20 +343,23 @@ def test_criterion_07_closed_form_weight_invariants():
     for _ in range(50):
         n = int(rng.integers(3, 40))
         p = rng.uniform(0.01, 0.99, n)
-        ok &= bool(np.all(np.abs(alp_weights(p) - (1 - p) / p) <= 1e-12))
-        ok &= bool(np.all(np.abs(fdw_weights(p) - 1.0 / p) <= 1e-12))
-        ok &= bool(np.all(np.abs(fdw_weights(p) - alp_weights(p) - 1.0) <= 1e-12))
-        ok &= bool(np.all(np.abs(alp_weights(p) * p / (1 - p) - 1.0) <= 1e-12))
-
         X = np.column_stack([np.ones(n), rng.normal(size=n)])
+        alp, fdw = (estimate_from_fit(m, *hand_fit(X, p)).weights for m in (Method.ALP, Method.FDW))
+        ok &= bool(np.all(np.abs(alp - (1 - p) / p) <= 1e-12))
+        ok &= bool(np.all(np.abs(fdw - 1.0 / p) <= 1e-12))
+        ok &= bool(np.all(np.abs(fdw - alp - 1.0) <= 1e-12))
+        ok &= bool(np.all(np.abs(alp * p / (1 - p) - 1.0) <= 1e-12))
+
         gamma = rng.normal(0, 1, 2)
-        ok &= bool(
-            np.all(np.abs(clw_weights(gamma, X) - 1.0 / expit(X @ gamma)) <= 1e-9)
-        )
+        clw = estimate_from_fit(Method.CLW, *hand_fit(X, beta=gamma)).weights
+        ok &= bool(np.all(np.abs(clw - 1.0 / expit(X @ gamma)) <= 1e-9))
 
         beta = rng.normal(0, 1, 2)
         shifted = beta + np.array([rng.normal(), 0.0])
-        ok &= bool(np.array_equal(alps_weights(beta, X), alps_weights(shifted, X)))
+        alps, alps_shifted = (
+            estimate_from_fit(Method.ALPS, *hand_fit(X, beta=b)).weights for b in (beta, shifted)
+        )
+        ok &= bool(np.array_equal(alps, alps_shifted))
 
         y = rng.normal(size=n)
         w = rng.uniform(0.5, 4.0, n)

@@ -13,53 +13,61 @@ from pseudoweight import (
     RescaleError,
     SurveySample,
     ValidationError,
-    alp_weights,
-    alps_weights,
-    clw_weights,
     default_lambda,
     estimate,
     estimate_each,
     estimate_from_fit,
-    fdw_weights,
     fit_for_method,
     hajek_mean,
     rdw_rescale_factor,
 )
 
+from oracles import hand_fit, pseudo_weights
+
 PROPERTY_SETTINGS = settings(max_examples=150, deadline=None, derandomize=True)
+
+
+def weights(method, X, p=None, beta=None):
+    """The weights ``estimate_from_fit`` gives ``method`` on a hand-made fit."""
+    return estimate_from_fit(method, *hand_fit(X, p, beta)).weights
+
+
+def two_columns(n):
+    return np.column_stack([np.ones(n), np.arange(n, dtype=float)])
 
 
 class TestWeightFormulas:
     def test_alp_examples(self):
-        np.testing.assert_allclose(alp_weights(np.array([1 / 3])), [2.0], atol=1e-12)
-        np.testing.assert_allclose(alp_weights(np.array([0.5])), [1.0], atol=1e-12)
-        np.testing.assert_allclose(alp_weights(np.array([0.01])), [99.0], atol=1e-10)
+        w = weights(Method.ALP, two_columns(3), p=np.array([1 / 3, 0.5, 0.01]))
+        np.testing.assert_allclose(w, [2.0, 1.0, 99.0], atol=1e-10)
 
     def test_alp_rejects_out_of_domain(self):
-        with pytest.raises(DomainError):
-            alp_weights(np.array([0.0, 0.3]))
-        with pytest.raises(DomainError):
-            alp_weights(np.array([1.0]))
-        with pytest.raises(DomainError):
-            alp_weights(np.array([np.nan]))
+        for p in ([0.0, 0.3], [1.0, 0.3], [np.nan, 0.3]):
+            with pytest.raises(DomainError):
+                weights(Method.ALP, two_columns(2), p=np.array(p))
 
     def test_fdw_examples(self):
-        np.testing.assert_allclose(fdw_weights(np.array([1 / 3])), [3.0], atol=1e-12)
-        np.testing.assert_allclose(fdw_weights(np.array([0.5])), [2.0], atol=1e-12)
+        p = np.array([1 / 3, 0.5, 0.01])
+        w_f = weights(Method.FDW, two_columns(3), p=p)
+        np.testing.assert_allclose(w_f[:2], [3.0, 2.0], atol=1e-12)
         # at p = 0.01 the two weights differ by 1 percent relative
-        w_f = fdw_weights(np.array([0.01]))[0]
-        w_a = alp_weights(np.array([0.01]))[0]
-        assert (w_f - w_a) / w_f == pytest.approx(0.01, rel=1e-9)
+        w_a = weights(Method.ALP, two_columns(3), p=p)
+        assert (w_f[2] - w_a[2]) / w_f[2] == pytest.approx(0.01, rel=1e-9)
 
     def test_fdw_minus_alp_is_one_elementwise(self):
         rng = np.random.default_rng(11)
         p = rng.uniform(0.01, 0.99, 200)
-        np.testing.assert_allclose(fdw_weights(p) - alp_weights(p), 1.0, atol=1e-12)
+        X = two_columns(200)
+        np.testing.assert_allclose(
+            weights(Method.FDW, X, p=p) - weights(Method.ALP, X, p=p), 1.0, atol=1e-12
+        )
 
     def test_odds_consistency(self):
         rng = np.random.default_rng(12)
         p = rng.uniform(0.01, 0.99, 200)
-        np.testing.assert_allclose(alp_weights(p) * p / (1 - p), 1.0, atol=1e-12)
+        np.testing.assert_allclose(
+            weights(Method.ALP, two_columns(200), p=p) * p / (1 - p), 1.0, atol=1e-12
+        )
 
     def test_rdw_is_reciprocal_probability(self):
         # the rescaled fit estimates the participation rate directly
@@ -69,10 +77,10 @@ class TestWeightFormulas:
         np.testing.assert_allclose(res.weights * fit.p_hat_cohort, 1.0, atol=1e-12)
 
     def test_clw_examples(self):
-        X = np.array([[1.0, 0.0]])
-        np.testing.assert_allclose(clw_weights(np.zeros(2), X), [2.0], atol=1e-12)
+        X = np.array([[1.0, 0.0], [1.0, 1.0]])
+        np.testing.assert_allclose(weights(Method.CLW, X, beta=np.zeros(2)), 2.0, atol=1e-12)
         gamma = np.array([np.log(0.05 / 0.95), 0.0])
-        np.testing.assert_allclose(clw_weights(gamma, X), [20.0], rtol=1e-12)
+        np.testing.assert_allclose(weights(Method.CLW, X, beta=gamma), 20.0, rtol=1e-12)
 
     def test_clw_matches_direct_reciprocal(self):
         rng = np.random.default_rng(13)
@@ -81,13 +89,13 @@ class TestWeightFormulas:
         from scipy.special import expit
 
         np.testing.assert_allclose(
-            clw_weights(gamma, X), 1.0 / expit(X @ gamma), rtol=1e-12
+            weights(Method.CLW, X, beta=gamma), 1.0 / expit(X @ gamma), rtol=1e-12
         )
 
     def test_alps_slope_only(self):
-        X = np.column_stack([np.ones(3), [0.0, 1.0, 2.0]])
+        X = two_columns(3)
         beta = np.array([7.5, 0.4])  # intercept must not matter
-        w = alps_weights(beta, X)
+        w = weights(Method.ALPS, X, beta=beta)
         np.testing.assert_allclose(w, np.exp(-0.4 * np.array([0.0, 1.0, 2.0])), rtol=1e-12)
 
     def test_alps_intercept_invariance_bit_identical(self):
@@ -95,16 +103,25 @@ class TestWeightFormulas:
         X = np.column_stack([np.ones(40), rng.normal(size=40), rng.normal(size=40)])
         beta = np.array([-1.2, 0.3, -0.7])
         shifted = beta + np.array([123.456, 0.0, 0.0])
-        assert np.array_equal(alps_weights(beta, X), alps_weights(shifted, X))
+        assert np.array_equal(
+            weights(Method.ALPS, X, beta=beta), weights(Method.ALPS, X, beta=shifted)
+        )
 
     def test_alps_zero_slopes_give_unit_weights(self):
-        X = np.column_stack([np.ones(5), np.arange(5.0)])
-        np.testing.assert_array_equal(alps_weights(np.array([3.0, 0.0]), X), np.ones(5))
+        w = weights(Method.ALPS, two_columns(5), beta=np.array([3.0, 0.0]))
+        np.testing.assert_array_equal(w, np.ones(5))
 
     def test_alps_weight_ratio_follows_coordinate_gap(self):
         X = np.column_stack([np.ones(2), [1.0, 1.5]])
-        w = alps_weights(np.array([0.0, 0.8]), X)
+        w = weights(Method.ALPS, X, beta=np.array([0.0, 0.8]))
         assert w[0] / w[1] == pytest.approx(np.exp(0.8 * 0.5), rel=1e-12)
+
+    @pytest.mark.parametrize("method", [m for m in Method if m is not Method.TW])
+    def test_every_method_weights_as_the_reference(self, method):
+        cohort, survey = synthetic_pair(seed=8)
+        fit = fit_for_method(method, cohort, survey)
+        res = estimate_from_fit(method, fit, cohort, survey)
+        np.testing.assert_allclose(res.weights, pseudo_weights(method, fit, cohort.X), rtol=1e-12)
 
 
 class TestHajekMean:
@@ -195,7 +212,8 @@ class TestEstimate:
         alp = estimate(Method.ALP, cohort, survey)
         fdw = estimate(Method.FDW, cohort, survey)
         np.testing.assert_allclose(fdw.weights - alp.weights, 1.0, atol=1e-9)
-        np.testing.assert_allclose(alp.weights, alp_weights(fit.p_hat_cohort), atol=1e-9)
+        reference = pseudo_weights(Method.ALP, fit, cohort.X)
+        np.testing.assert_allclose(alp.weights, reference, atol=1e-9)
 
     def test_every_method_stays_within_outcome_range(self):
         cohort, survey = synthetic_pair(seed=3)
@@ -256,7 +274,7 @@ class TestEstimate:
             mu = estimate(Method.ALPS, cohort, survey).mu_hat
         except PseudoweightError:
             reject()
-        odds_mean = hajek_mean(cohort.y, alp_weights(fit.p_hat_cohort))
+        odds_mean = hajek_mean(cohort.y, (1.0 - fit.p_hat_cohort) / fit.p_hat_cohort)
         assert mu == pytest.approx(odds_mean, rel=1e-9)
 
     @pytest.mark.parametrize("method", [m for m in Method if m is not Method.TW])
@@ -306,6 +324,16 @@ class TestEstimateEach:
         assert keys[Method.RDW] == rdw_rescale_factor(cohort.n_c, survey.d)
         assert keys[Method.ALPS] == default_lambda(cohort.n_c, survey.d)
         assert all(type(keys[m]) is float for m in (Method.ALP, Method.RDW, Method.ALPS))
+
+    @pytest.mark.parametrize("method", [m for m in Method if m not in (Method.NAIVE, Method.TW)])
+    def test_method_name_fits_like_its_method(self, method):
+        from pseudoweight.estimators import fit_key
+
+        cohort, survey = synthetic_pair()
+        assert fit_key(method.value, cohort, survey) == fit_key(method, cohort, survey)
+        named = fit_for_method(method.value, cohort, survey)
+        plain = fit_for_method(method, cohort, survey)
+        assert named.beta.tobytes() == plain.beta.tobytes()
 
     def test_each_spec_gets_its_estimate_or_its_error(self):
         # a survey this light makes rdw's rescale factor nonpositive

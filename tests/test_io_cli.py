@@ -17,6 +17,7 @@ from pseudoweight import (
     DesignInfo,
     DesignKind,
     EmptyFileError,
+    EstimateRow,
     EstimationJob,
     IoError,
     Method,
@@ -128,10 +129,8 @@ class TestIngest:
 
 class TestEmitReport:
     ROWS = [
-        {"method": "alp", "estimate": 1.5, "variance": 0.25, "ci_low": 0.52,
-         "ci_high": 2.48, "w_min": 1.0, "w_max": 3.0, "w_cv": 0.4, "warnings": ""},
-        {"method": "clw", "estimate": 1.6, "variance": 0.3, "ci_low": 0.53,
-         "ci_high": 2.67, "w_min": 1.1, "w_max": 3.3, "w_cv": 0.5, "warnings": ""},
+        EstimateRow("alp", 1.5, 0.25, 0.52, 2.48, None, None, 1.0, 3.0, 0.4, ""),
+        EstimateRow("clw", 1.6, 0.3, 0.53, 2.67, None, None, 1.1, 3.3, 0.5, ""),
     ]
 
     def test_header_and_row_count(self, tmp_path):
@@ -166,9 +165,38 @@ class TestEmitReport:
         assert doc[0]["method"] == "alp"
         assert doc[0]["estimate"] == 1.5
 
+    @pytest.mark.parametrize("survey_outcome", [True, False])
+    def test_csv_and_json_columns_follow_one_rule(self, tmp_path, survey_outcome):
+        # both formats: every EstimateRow field in order, pct_rd and mse only
+        # when the survey carries the outcome (naive's mse is then empty)
+        (cohort_path, survey_path), (_, _, xs, d) = random_pair_files(tmp_path)
+        if survey_outcome:
+            cells = zip((1.0 + xs).tolist(), xs.tolist(), d.tolist())
+            text = "y,x1,w\n" + "".join(f"{a!r},{b!r},{c!r}\n" for a, b, c in cells)
+            survey_path = write(tmp_path / "s.csv", text)
+        methods = (Method.NAIVE, Method.ALP)
+        job = EstimationJob(cohort_path, survey_path, "y", ("x1",), "w", methods=methods)
+        rows = run_estimation_job(job)
+        emit_report(rows, tmp_path / "r.csv")
+        emit_report(rows, tmp_path / "r.json")
+        columns = [f.name for f in dataclasses.fields(EstimateRow)]
+        if not survey_outcome:
+            columns = [c for c in columns if c not in ("pct_rd", "mse")]
+        with open(tmp_path / "r.csv", newline="") as fh:
+            table = list(csv.reader(fh))
+        doc = json.loads((tmp_path / "r.json").read_text())
+        assert table[0] == columns
+        assert [list(entry) for entry in doc] == [columns] * len(methods)
+        assert [row[columns.index("method")] for row in table[1:]] == ["naive", "alp"]
+        if survey_outcome:
+            assert doc[0]["mse"] is None and table[1][columns.index("mse")] == ""
+            assert all(entry["pct_rd"] is not None for entry in doc)
+            assert doc[1]["mse"] is not None
+
     def test_json_writes_null_for_non_finite_floats(self, tmp_path):
         # a negative variance leaves the interval NaN
-        rows = [dict(self.ROWS[0], variance=-0.07, ci_low=math.nan, ci_high=math.nan)]
+        nan_interval = dict(variance=-0.07, ci_low=math.nan, ci_high=math.nan)
+        rows = [dataclasses.replace(self.ROWS[0], **nan_interval)]
 
         def refuse(token):
             raise ValueError(f"{token} is not JSON")
@@ -186,19 +214,21 @@ class TestEmitReport:
     CELLS = FLOATS + [None, 7, -12, "alp", 'a, "b"', ""]
 
     def test_csv_cells_follow_the_reference_rule(self, tmp_path):
-        columns = io._COLUMN_ORDER
+        columns = [f.name for f in dataclasses.fields(EstimateRow)]
         rows = [
-            {c: self.CELLS[(i + j) % len(self.CELLS)] for j, c in enumerate(columns)}
+            [self.CELLS[(i + j) % len(self.CELLS)] for j in range(len(columns))]
             for i in range(len(self.CELLS))
         ]
-        emit_report(rows, tmp_path / "r.csv")
-        expected = table_bytes(columns, ([r[c] for c in columns] for r in rows))
+        emit_report([EstimateRow(*row) for row in rows], tmp_path / "r.csv")
+        expected = table_bytes(columns, rows)
         assert (tmp_path / "r.csv").read_bytes() == expected
 
     def test_numpy_float_cell_is_written_as_its_float(self, tmp_path):
-        row = dict(self.ROWS[0], estimate=0.1 + 0.2, variance=math.nan)
+        row = dataclasses.replace(self.ROWS[0], estimate=0.1 + 0.2, variance=math.nan)
         emit_report([row], tmp_path / "float.csv")
-        as_numpy = dict(row, estimate=np.float64(row["estimate"]), variance=np.float64("nan"))
+        as_numpy = dataclasses.replace(
+            row, estimate=np.float64(row.estimate), variance=np.float64("nan")
+        )
         emit_report([as_numpy], tmp_path / "numpy.csv")
         assert (tmp_path / "numpy.csv").read_bytes() == (tmp_path / "float.csv").read_bytes()
 
@@ -291,7 +321,7 @@ class TestEstimationJob:
             methods=(Method.ALP,),
         )
         rows = run_estimation_job(job)
-        assert rows[0]["estimate"] == pytest.approx(float(np.mean(y)), abs=1e-6)
+        assert rows[0].estimate == pytest.approx(float(np.mean(y)), abs=1e-6)
 
     def test_reference_columns_present_when_survey_has_outcome(self, tmp_path):
         cohort_path, survey_path, y = self_paired_files(tmp_path)
@@ -305,9 +335,9 @@ class TestEstimationJob:
         )
         rows = run_estimation_job(job)
         for row in rows:
-            assert "pct_rd" in row and "mse" in row
-        assert abs(rows[0]["pct_rd"]) < 1e-4
-        assert [r["method"] for r in rows] == ["alp", "fdw"]
+            assert row.pct_rd is not None and row.mse is not None
+        assert abs(rows[0].pct_rd) < 1e-4
+        assert [r.method for r in rows] == ["alp", "fdw"]
 
     def test_reference_columns_absent_without_survey_outcome(self, tmp_path):
         rng = np.random.default_rng(1)
@@ -331,8 +361,8 @@ class TestEstimationJob:
             methods=(Method.ALP,),
         )
         rows = run_estimation_job(job)
-        assert "pct_rd" not in rows[0] and "mse" not in rows[0]
-        assert rows[0]["variance"] is not None
+        assert rows[0].pct_rd is None and rows[0].mse is None
+        assert rows[0].variance is not None
 
     def test_stratified_design_end_to_end(self, tmp_path):
         cohort_path, survey_path = stratified_pair_files(tmp_path)
@@ -348,8 +378,8 @@ class TestEstimationJob:
             methods=(Method.ALP,),
         )
         row = run_estimation_job(job)[0]
-        assert row["variance"] > 0
-        assert row["ci_low"] < row["estimate"] < row["ci_high"]
+        assert row.variance > 0
+        assert row.ci_low < row.estimate < row.ci_high
 
     def test_dumped_weights_round_trip_exactly(self, tmp_path):
         cohort_path, survey_path, _ = self_paired_files(tmp_path, n=25, seed=3)
@@ -417,7 +447,7 @@ class TestEstimationJob:
             methods=tuple(m for m in Method if m is not Method.TW),
         )
         rows = run_estimation_job(job)
-        assert [r["method"] for r in rows] == ["naive", "rdw", "fdw", "alp", "clw", "alps"]
+        assert [r.method for r in rows] == ["naive", "rdw", "fdw", "alp", "clw", "alps"]
         assert calls == {"fit": 3, "validate": 1}
 
     def test_survey_file_opened_once(self, tmp_path, monkeypatch):
@@ -438,7 +468,7 @@ class TestEstimationJob:
             covariate_columns=("x1", "x2"),
             weight_column="w",
         )
-        assert "pct_rd" in run_estimation_job(job)[0]
+        assert run_estimation_job(job)[0].pct_rd is not None
         assert opened == [cohort_path, survey_path]
 
     def test_survey_from_a_pipe_is_read_once_whole(self, tmp_path, monkeypatch, no_child_left):
@@ -583,9 +613,9 @@ class TestEstimationJob:
             weight_column="w",
         )
         row = run_estimation_job(job)[0]
-        assert row["w_min"] == pytest.approx(1.0, abs=1e-6)
-        assert row["w_max"] == pytest.approx(1.0, abs=1e-6)
-        assert row["w_cv"] == pytest.approx(0.0, abs=1e-6)
+        assert row.w_min == pytest.approx(1.0, abs=1e-6)
+        assert row.w_max == pytest.approx(1.0, abs=1e-6)
+        assert row.w_cv == pytest.approx(0.0, abs=1e-6)
 
 
 ALL_METHODS = tuple(m for m in Method if m is not Method.TW)

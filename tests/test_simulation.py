@@ -23,14 +23,15 @@ from pseudoweight import (
     Scenario,
     calibrate_participation_intercept,
     calibrate_survey_const,
-    compute_metrics,
     generate_population,
     participation_probabilities,
     poisson_sample,
     run_monte_carlo,
 )
 from pseudoweight import estimators, parallel, simulation, solvers
-from pseudoweight.simulation import FinitePopulation
+from pseudoweight.simulation import FinitePopulation, ScenarioConfig
+
+from oracles import cell_metrics
 
 ANALYTIC_MEAN = 3.978  # from the covariate recipe's moments
 
@@ -341,34 +342,84 @@ class TestPoissonSampling:
             poisson_sample(np.array([0.5, np.nan, 1.0]), seed=0)
 
 
+def reduced(estimates, variances=None, hits=None, mu=4.0, excluded=0):
+    """The :class:`CellResult` a cell reduces to for one method whose kept
+    replicates give ``estimates``, with ``variances`` and interval ``hits``
+    (an ``alp`` row), or none (a ``naive`` row), after ``excluded`` replicates
+    that raised."""
+    method = Method.NAIVE if variances is None else Method.ALP
+    outcomes = [(50, ("NonConvergenceError",))] * excluded
+    for i, est in enumerate(estimates):
+        if variances is None:
+            outcomes.append((50, ((est, None, None, None, ()),)))
+        else:
+            lo = mu - 1.0 if hits[i] else mu + 1.0  # an interval holding mu, or one above it
+            outcomes.append((50, ((est, variances[i], lo, lo + 2.0, ()),)))
+    cell = ScenarioConfig(Scenario.LOG_LINK, 0.05)
+    (row,) = simulation._cell_results(cell, (method,), outcomes, mu)
+    return row
+
+
+def metrics_of(row):
+    return {k: getattr(row, k) for k in ("pct_rb", "v_emp", "mse", "vr", "cp")}
+
+
 class TestMetrics:
     def test_exact_estimates(self):
-        m = compute_metrics([4.0, 4.0], None, None, 4.0)
-        assert (m.pct_rb, m.v_emp, m.mse) == (0.0, 0.0, 0.0)
+        for m in (metrics_of(reduced([4.0, 4.0])), cell_metrics([4.0, 4.0], None, None, 4.0)):
+            assert (m["pct_rb"], m["v_emp"], m["mse"]) == (0.0, 0.0, 0.0)
+            assert m["vr"] is None and m["cp"] is None
 
     def test_hand_arithmetic(self):
-        m = compute_metrics([3.0, 5.0], [2.0, 2.0], [True, True], 4.0)
-        assert m.v_emp == pytest.approx(2.0)
-        assert m.mse == pytest.approx(1.0)
-        assert m.vr == pytest.approx(1.0)
-        assert m.pct_rb == pytest.approx(0.0)
+        args = [3.0, 5.0], [2.0, 2.0], [True, True], 4.0
+        for m in (metrics_of(reduced(*args)), cell_metrics(*args)):
+            assert m["v_emp"] == pytest.approx(2.0)
+            assert m["mse"] == pytest.approx(1.0)
+            assert m["vr"] == pytest.approx(1.0)
+            assert m["pct_rb"] == pytest.approx(0.0)
+            assert m["cp"] == 1.0
 
     def test_coverage_proportion(self):
-        m = compute_metrics([1.0, 1.0, 1.0, 1.0], [1, 1, 1, 1], [True, False, True, True], 1.0)
-        assert m.cp == pytest.approx(0.75)
+        args = [1.0, 1.0, 1.0, 1.0], [1, 1, 1, 1], [True, False, True, True], 1.0
+        for m in (metrics_of(reduced(*args)), cell_metrics(*args)):
+            assert m["cp"] == pytest.approx(0.75)
+            assert math.isnan(m["vr"])  # no empirical variance to compare with
 
     def test_insufficient_replicates(self):
+        # one kept replicate leaves the row its counts and nan metrics
+        naive = reduced([1.0], mu=1.0, excluded=2)
+        assert (naive.n_replicates, naive.n_excluded) == (1, 2)
+        assert all(math.isnan(getattr(naive, k)) for k in ("pct_rb", "v_emp", "mse"))
+        assert naive.vr is None and naive.cp is None
+        alp = reduced([1.0], [1.0], [True], mu=1.0)
+        assert all(math.isnan(v) for v in metrics_of(alp).values())
         with pytest.raises(InsufficientReplicatesError):
-            compute_metrics([1.0], None, None, 1.0)
+            run_monte_carlo(PopulationConfig(N=2000, seed=1), replicates=1)
 
     def test_mse_identity(self):
         rng = np.random.default_rng(3)
         for _ in range(10):
-            est = rng.normal(2.0, 0.5, int(rng.integers(5, 60)))
-            m = compute_metrics(est, None, None, 2.0)
+            est = rng.normal(2.0, 0.5, int(rng.integers(5, 60))).tolist()
+            m = reduced(est, mu=2.0)
             B = len(est)
-            bias = est.mean() - 2.0
+            bias = np.mean(est) - 2.0
             assert m.mse == pytest.approx(m.v_emp * (B - 1) / B + bias**2, rel=1e-10)
+
+    def test_rows_match_the_metric_oracle(self):
+        rng = np.random.default_rng(4)
+        for _ in range(20):
+            B = int(rng.integers(2, 40))
+            est = rng.normal(2.0, 0.5, B).tolist()
+            var = rng.uniform(0.1, 0.5, B).tolist()
+            hits = (rng.random(B) < 0.9).tolist()
+            excluded = int(rng.integers(0, 3))
+            row = reduced(est, var, hits, mu=2.0, excluded=excluded)
+            assert (row.n_replicates, row.n_excluded) == (B, excluded)
+            got, want = metrics_of(row), cell_metrics(est, var, hits, 2.0)
+            assert got == pytest.approx(want, rel=1e-12)
+            assert metrics_of(reduced(est, mu=2.0)) == pytest.approx(
+                cell_metrics(est, None, None, 2.0), rel=1e-12
+            )
 
 
 @pytest.fixture(scope="module")
