@@ -19,6 +19,10 @@ runs, each in its own process:
   ``stratified`` and ``iid`` designs, on both surveys, writing a CSV and a
   JSON report, each with ``--dump-weights``;
 * ``pseudoweight simulate --replicates 40 --seed 1``;
+* ``pseudoweight simulate --config`` on two one-cell studies of 40
+  replicates, ``log`` at 0.05 and ``logit`` at 0.20: with fewer cells than
+  workers the cell is split, so forked workers run its root search from
+  the memo the calling process filled;
 * the tree's own ``demos/`` scripts (the directory beside its ``src``),
   keeping their standard output, so a demo that follows an API change is
   compared by what it prints.
@@ -31,6 +35,7 @@ lists the outputs that differ, keeps them for inspection and exits 1.
 
 import argparse
 import filecmp
+import json
 import os
 import shutil
 import subprocess
@@ -62,8 +67,16 @@ def _quoted(text, row, end):
     return "".join(line + end for line in lines)
 
 
+#: ``(scenario, f_c)`` of each one-cell study
+ONE_CELL_STUDIES = (("log", 0.05), ("logit", 0.20))
+
+
 def make_inputs(directory):
-    """Write the input files; returns ``(name, cohort, survey)`` triples."""
+    """Write the input files, among them one ``simulate`` configuration per
+    one-cell study; returns ``(name, cohort, survey)`` triples."""
+    for scenario, f_c in ONE_CELL_STUDIES:
+        config = {"scenarios": [scenario], "f_c_grid": [f_c], "replicates": 40, "base_seed": 1}
+        (directory / f"simulate-{scenario}.json").write_text(json.dumps(config))
     spec = workloads.ESTIMATE_SPECS["estimate-clustered"]
     pairs = []
     for seed in SEEDS:
@@ -84,9 +97,10 @@ def make_inputs(directory):
     return pairs
 
 
-def commands(pairs):
-    """``(output name, argv)`` of every command run on each tree; output
-    paths are relative to the tree's output directory."""
+def commands(pairs, directory):
+    """``(output name, argv)`` of every command run on each tree, the
+    configurations read from ``directory``; output paths are relative to
+    the tree's output directory."""
     cli = [sys.executable, "-m", "pseudoweight.cli"]
     out = []
     for name, cohort, survey in pairs:
@@ -110,6 +124,10 @@ def commands(pairs):
     out.append(("simulate", cli + [
         "simulate", "--replicates", "40", "--seed", "1", "--out", "simulate.csv",
     ]))
+    for scenario, _ in ONE_CELL_STUDIES:
+        run = f"simulate-{scenario}"
+        config = str(directory / f"{run}.json")
+        out.append((run, cli + ["simulate", "--config", config, "--out", f"{run}.csv"]))
     return out
 
 
@@ -144,7 +162,7 @@ def main(argv=None):
     work = Path(tempfile.mkdtemp(prefix="compare-outputs-"))
     inputs = work / "inputs"
     inputs.mkdir()
-    runs = commands(make_inputs(inputs))
+    runs = commands(make_inputs(inputs), inputs)
     parent, change = work / "parent", work / "change"
     run_tree(args.parent_src, runs, parent)
     run_tree(args.change_src, runs, change)

@@ -422,11 +422,15 @@ class EstimateRow:
 
 
 def _ingest(args, read_columns=None):
-    """``ingest_delimited(*args, read_columns=...)`` and its warnings' messages."""
+    """``ingest_delimited(*args, read_columns=...)`` and its notices' messages
+    (each a plain ``UserWarning``); any other warning is shown as it would be."""
     with _warnings.catch_warnings(record=True) as caught:
-        _warnings.simplefilter("always")
+        _warnings.simplefilter("always", UserWarning)
         sample = ingest_delimited(*args, read_columns=read_columns)
-    return sample, tuple(str(w.message) for w in caught)
+    for w in caught:
+        if w.category is not UserWarning:
+            _warnings.showwarning(w.message, w.category, w.filename, w.lineno, w.file, w.line)
+    return sample, tuple(str(w.message) for w in caught if w.category is UserWarning)
 
 
 def run_estimation_job(job: EstimationJob):
@@ -434,13 +438,13 @@ def run_estimation_job(job: EstimationJob):
     :class:`EstimateRow` per method.
 
     When the survey file carries the outcome column, each row's ``pct_rd``
-    and ``mse`` are the relative difference from, and the estimated squared
-    error against, the design-weighted survey estimate.  Warnings raised
-    anywhere in the pipeline surface in the row's ``warnings`` field.  The
-    first package error, in method order, is raised.  ``tw`` is rejected before either
-    file is read: it needs the known participation rates, which only a
-    simulated study has.  So are an empty method list and a method named
-    twice, which would write two report rows and two weight columns for it.
+    and ``mse`` are the relative difference from (nan when it is 0), and the
+    estimated squared error against, the design-weighted survey estimate.  A
+    row's ``warnings`` are its method's notices, then the files' skip notices.
+    The first package error, in method order, is raised.  So are ``tw``, an
+    empty method list and a method named twice, before either file is read:
+    ``tw`` needs the known participation rates, which only a simulated study
+    has, and a repeated method would write two report rows and weight columns.
 
     With two or more usable CPUs (on Linux), the files are read in byte
     spans or else one per process (see the module docstring), and the
@@ -489,7 +493,7 @@ def run_estimation_job(job: EstimationJob):
         mu, var, w = result.mu_hat, result.var_hat, result.weights
         pct_rd = mse = None
         if mu_ref is not None:
-            pct_rd = (mu - mu_ref) / mu_ref * 100.0
+            pct_rd = (mu - mu_ref) / mu_ref * 100.0 if mu_ref else math.nan
             mse = (mu - mu_ref) ** 2 + var if var is not None else None
         mean = float(np.mean(w))
         rows.append(

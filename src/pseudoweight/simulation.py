@@ -17,17 +17,18 @@ it is free (a cell is split only when workers outnumber cells), and the
 calling process reduces their results in replicate order, so the report does
 not depend on the number of workers.
 
-Each cell's participation intercept is found by :func:`_brentq`, a port of
-scipy's ``brentq`` that returns the same double, so neither the package nor
-a study loads anything from scipy but ``scipy.special``: the desk study's
-set-up (import, population and the 8 cells' calibration) takes 0.44 s,
-against 0.74 s while the calibration loaded scipy's optimize subpackage
-(medians on 2 cores, ``BENCH_3.json``).
+Both scenarios' links take one linear predictor, ``X[:, 1:] @``
+:data:`PARTICIPATION_SLOPES`, made once per population, and each keeps the
+mean rate at every intercept tried, so a worker's root search reads back the
+ends the bracket check computed.  The search is :func:`_brentq`, a port of
+scipy's ``brentq`` that returns the same double, so no study loads scipy's
+optimize subpackage (it made set-up 0.74 s, not 0.44 s; ``BENCH_3.json``).
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import math
 import sys
 from dataclasses import dataclass, field
@@ -104,13 +105,17 @@ class FinitePopulation:
     X: np.ndarray
     y: np.ndarray
     mu: float
-    #: ``(scenario, slopes)`` -> the linear predictor without intercept and the
-    #: mean rate at each intercept tried, so no root search evaluates one twice
+    #: scenario -> {intercept: mean rate}, so no root search evaluates one twice
     link_means: dict = field(default_factory=dict, compare=False, repr=False)
 
     @property
     def N(self) -> int:
         return self.X.shape[0]
+
+    @functools.cached_property
+    def eta(self) -> np.ndarray:
+        """The participation models' linear predictor without intercept."""
+        return self.X[:, 1:] @ np.asarray(PARTICIPATION_SLOPES, dtype=float)
 
 
 def generate_population(config: PopulationConfig) -> FinitePopulation:
@@ -136,26 +141,12 @@ def generate_population(config: PopulationConfig) -> FinitePopulation:
     return FinitePopulation(X=X, y=y, mu=float(y.mean()))
 
 
-def _link_memo(population, scenario, slopes, fill=True):
-    """The :attr:`FinitePopulation.link_means` entry of ``(scenario, slopes)``;
-    when absent, a new one, kept there only when ``fill``."""
-    key, link_means = (scenario, tuple(slopes)), population.link_means
-    entry = link_means.get(key) or (population.X[:, 1:] @ np.asarray(slopes, dtype=float), {})
-    return link_means.setdefault(key, entry) if fill else entry
-
-
 def participation_probabilities(
-    population: FinitePopulation,
-    scenario: Scenario,
-    intercept: float,
-    slopes=PARTICIPATION_SLOPES,
+    population: FinitePopulation, scenario: Scenario, intercept: float
 ) -> np.ndarray:
-    """Per-unit participation probabilities under a scenario's link, from
-    the linear predictor a calibration keeps, if one does; none is kept."""
-    eta, _ = _link_memo(population, scenario, slopes, fill=False)
-    if scenario is Scenario.LOG_LINK:
-        return np.exp(intercept + eta)
-    return expit(intercept + eta)
+    """Per-unit participation probabilities under a scenario's link."""
+    link = np.exp if scenario is Scenario.LOG_LINK else expit
+    return link(intercept + population.eta)
 
 
 #: The relative tolerance and iteration cap scipy's ``brentq`` defaults to.
@@ -181,22 +172,19 @@ def _brentq(f, a, b, xtol):
             )
         return fx
 
-    def negative(v):
-        return math.copysign(1.0, v) < 0
-
     xpre, xcur = float(a), float(b)
     fpre, fcur = value(xpre), value(xcur)
     if fpre == 0:
         return xpre
     if fcur == 0:
         return xcur
-    if negative(fpre) == negative(fcur):
+    if (fpre < 0) == (fcur < 0):
         raise NonConvergenceError(
             "intercept calibration failed: f(a) and f(b) must have different signs"
         )
     xblk = fblk = spre = scur = 0.0
     for _ in range(_BRENT_MAXITER):
-        if fpre != 0 and fcur != 0 and negative(fpre) != negative(fcur):
+        if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
             xblk, fblk = xpre, fpre
             spre = scur = xcur - xpre
         if abs(fblk) < abs(fcur):
@@ -231,13 +219,13 @@ def _brentq(f, a, b, xtol):
     )
 
 
-def _intercept_equation(population, scenario, f_c_target, slopes=PARTICIPATION_SLOPES):
+def _intercept_equation(population, scenario, f_c_target):
     """The mean-rate residual ``g`` whose root is a cell's intercept, and the
     bracket ``lo, hi`` holding it.  Under the log link ``hi`` is the
     feasibility boundary (largest intercept keeping every rate below one)."""
     if not 0.0 < f_c_target < 1.0:
         raise InfeasibleTargetError("participation-rate target must lie in (0, 1)")
-    eta, means = _link_memo(population, scenario, slopes)
+    eta, means = population.eta, population.link_means.setdefault(scenario, {})
     link = np.exp if scenario is Scenario.LOG_LINK else expit
 
     def g(c):
@@ -258,7 +246,7 @@ def _intercept_equation(population, scenario, f_c_target, slopes=PARTICIPATION_S
 
 
 def calibrate_participation_intercept(
-    population: FinitePopulation, scenario: Scenario, f_c_target: float, slopes=PARTICIPATION_SLOPES
+    population: FinitePopulation, scenario: Scenario, f_c_target: float
 ) -> float:
     """Intercept for which the mean participation probability hits the target.
 
@@ -266,7 +254,7 @@ def calibrate_participation_intercept(
     bracketing root search applies.  A target the log link cannot reach
     with every probability below one raises :class:`InfeasibleTargetError`.
     """
-    g, lo, hi = _intercept_equation(population, scenario, f_c_target, slopes)
+    g, lo, hi = _intercept_equation(population, scenario, f_c_target)
     intercept = _brentq(g, lo, hi, xtol=1e-13)
     if abs(g(intercept)) >= 1e-8:
         raise NonConvergenceError(

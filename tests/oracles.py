@@ -3,6 +3,7 @@ hand-made fits they feed it."""
 
 import csv
 import io
+import math
 
 import numpy as np
 from scipy.special import expit
@@ -86,6 +87,25 @@ def cell_metrics(estimates, variances, hits, mu_true):
         "vr": vr,
         "cp": cp,
     }
+
+
+def coverage_se(cp, B):
+    """The Monte Carlo standard error of a coverage ``cp`` estimated from
+    ``B`` replicates: ``sqrt(cp (1 - cp) / B)`` (Morris, White and Crowther
+    2019, Stat. Med. 38:2074, table 6)."""
+    return math.sqrt(cp * (1.0 - cp) / B)
+
+
+def paired_variance_ratio(a, b):
+    """The ratio ``v(a)/v(b)`` of two estimators' empirical variances over
+    the same replicates, and its Monte Carlo standard error by the delta
+    method on each replicate's squared deviations ``u = (a - mean a)^2`` and
+    ``w = (b - mean b)^2``: with ``R`` the ratio, ``sd(u - R w) / sqrt(B) /
+    mean w`` (Morris, White and Crowther 2019)."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    u, w = (a - a.mean()) ** 2, (b - b.mean()) ** 2
+    ratio = u.sum() / w.sum()
+    return float(ratio), float(np.std(u - ratio * w, ddof=1) / math.sqrt(len(a)) / w.mean())
 
 
 def linearized_variance(method, fit, cohort, survey, true_participation=None):

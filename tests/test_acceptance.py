@@ -50,9 +50,10 @@ from pseudoweight import (
     run_monte_carlo,
     tl_variance,
 )
+from pseudoweight import simulation
 from pseudoweight.cli import main
 
-from oracles import hand_fit, score_at
+from oracles import coverage_se, hand_fit, paired_variance_ratio, score_at
 
 DESK_POPULATION = PopulationConfig(N=50_000, seed=2468)
 DESK_REPLICATES = 1000
@@ -68,15 +69,40 @@ def report(criterion, ok, detail):
 
 
 @pytest.fixture(scope="module")
-def study():
-    rep = run_monte_carlo(
-        DESK_POPULATION,
-        scenarios=(Scenario.LOG_LINK, Scenario.LOGIT_LINK),
-        f_c_grid=F_C_GRID,
-        replicates=DESK_REPLICATES,
-        base_seed=DESK_BASE_SEED,
-    )
-    return {(c.scenario, c.f_c, c.method): c for c in rep.cells}
+def desk_study():
+    """The desk study, run once: its cells by ``(scenario, f_c, method)``,
+    and each cell's estimates in replicate order, nan where the method
+    excluded the replicate.  The estimates are read by wrapping
+    ``simulation._run_replicates``, which leaves the report as it is."""
+    runs, real = [], simulation._run_replicates
+
+    def recording(study, cells, replicates):
+        runs.append((cells, study.methods, real(study, cells, replicates)))
+        return runs[-1][2]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(simulation, "_run_replicates", recording)
+        rep = run_monte_carlo(
+            DESK_POPULATION,
+            scenarios=(Scenario.LOG_LINK, Scenario.LOGIT_LINK),
+            f_c_grid=F_C_GRID,
+            replicates=DESK_REPLICATES,
+            base_seed=DESK_BASE_SEED,
+        )
+    ((cells, methods, outcomes),) = runs
+    estimates = {
+        (cell.scenario.value, cell.f_c_target, m.value): np.array(
+            [np.nan if isinstance(r[i], str) else r[i][0] for _, r in cell_outcomes]
+        )
+        for cell, cell_outcomes in zip(cells, outcomes)
+        for i, m in enumerate(methods)
+    }
+    return {(c.scenario, c.f_c, c.method): c for c in rep.cells}, estimates
+
+
+@pytest.fixture(scope="module")
+def study(desk_study):
+    return desk_study[0]
 
 
 @pytest.fixture(scope="module")
@@ -153,7 +179,8 @@ def test_criterion_04a_variance_calibration_main_cells(study):
     for tag, f_c, cell in rows:
         good = 0.90 <= cell.vr <= 1.10 and 0.92 <= cell.cp <= 0.97
         ok &= good
-        parts.append(f"{tag}@{f_c}: VR={cell.vr:.2f} CP={cell.cp:.3f}")
+        se = coverage_se(cell.cp, cell.n_replicates)
+        parts.append(f"{tag}@{f_c}: VR={cell.vr:.2f} CP={cell.cp:.3f}±{se:.3f}")
     assert report("04a", ok, "; ".join(parts)), parts
 
 
@@ -167,13 +194,16 @@ def test_criterion_04b_small_sample_coverage_floor(paper_scale_small_cells):
     the logit link has VR 0.78 and covers 0.829.  The criterion therefore
     reads its own cells at the paper's scale.
     """
-    alp = paper_scale_small_cells[("log", "alp")].cp
-    clw = paper_scale_small_cells[("logit", "clw")].cp
+    alp_cell = paper_scale_small_cells[("log", "alp")]
+    clw_cell = paper_scale_small_cells[("logit", "clw")]
+    alp, clw = alp_cell.cp, clw_cell.cp
     ok = 0.85 <= alp <= 0.97 and 0.85 <= clw <= 0.97
+    alp_se, clw_se = (coverage_se(c.cp, c.n_replicates) for c in (alp_cell, clw_cell))
     assert report(
         "04b",
         ok,
-        f"0.5% cell coverage at N=500,000: alp {alp:.3f}, clw {clw:.3f} (floor 0.85)",
+        f"0.5% cell coverage at N=500,000: alp {alp:.3f}±{alp_se:.3f}, "
+        f"clw {clw:.3f}±{clw_se:.3f} (floor 0.85)",
     ), (alp, clw)
 
 
@@ -191,18 +221,25 @@ def test_criterion_05a_alp_never_less_efficient_than_clw(study):
     ), (violations, ratio)
 
 
-def test_criterion_05b_scaled_alp_smallest_variance(study):
-    wins = []
+def test_criterion_05b_scaled_alp_smallest_variance(desk_study):
+    study, estimates = desk_study
+    wins, ratios = [], []
     for s in ("log", "logit"):
         for f_c in F_C_GRID:
             alps_v = study[(s, f_c, "alps")].v_emp
-            rivals = min(
-                study[(s, f_c, m)].v_emp for m in ("alp", "clw", "rdw", "fdw")
-            )
-            wins.append(alps_v <= rivals)
+            rival = min(("alp", "clw", "rdw", "fdw"), key=lambda m: study[(s, f_c, m)].v_emp)
+            wins.append(alps_v <= study[(s, f_c, rival)].v_emp)
+            # v(best rival)/v(alps) over the replicates both kept
+            a, b = estimates[(s, f_c, rival)], estimates[(s, f_c, "alps")]
+            kept = ~(np.isnan(a) | np.isnan(b))
+            ratio, se = paired_variance_ratio(a[kept], b[kept])
+            ratios.append(f"{s}@{f_c} {rival} {ratio:.3f}±{se:.3f}")
     ok = sum(wins) >= 7
     assert report(
-        "05b", ok, f"scaled-weight estimator smallest in {sum(wins)} of 8 cells (need 7)"
+        "05b",
+        ok,
+        f"scaled-weight estimator smallest in {sum(wins)} of 8 cells (need 7); "
+        "v(best rival)/v(alps): " + ", ".join(ratios),
     ), wins
 
 

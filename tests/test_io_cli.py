@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import threading
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -32,7 +33,7 @@ from pseudoweight import (
     ingest_delimited,
     run_estimation_job,
 )
-from pseudoweight import estimators, io
+from pseudoweight import estimators, io, parallel
 from pseudoweight.cli import main
 from pseudoweight.simulation import CellResult, SimulationReport
 
@@ -852,6 +853,31 @@ class TestConcurrentJob:
         assert maps[0] == (("span", 3, 3) if change == "none" else ("_ingest", 2, cpus))
         assert len(maps) == 2  # then the fit groups
 
+    def test_rows_carry_only_the_package_notices(self, tmp_path, monkeypatch, no_child_left):
+        # a fork that warns, as CPython 3.12+ does in a process with other
+        # threads, inside the survey read's warning capture: the warning
+        # keeps its normal course and stays out of the report
+        (cohort_path, survey_path), _ = random_pair_files(tmp_path)
+        with_blank_cell(survey_path, 7)
+        monkeypatch.setattr(io, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(io, "_SPAN_BYTES", 1)
+        fork, forks = parallel.os.fork, []
+
+        def warning_fork():
+            warnings.warn("this process is multi-threaded", DeprecationWarning, stacklevel=2)
+            forks.append(None)
+            return fork()
+
+        monkeypatch.setattr(parallel.os, "fork", warning_fork)
+        job = EstimationJob(cohort_path, survey_path, "y", ("x1",), "w", methods=ALL_METHODS)
+        with pytest.warns(DeprecationWarning, match="multi-threaded"):
+            rows = run_estimation_job(job)
+        assert forks
+        notice = f"{survey_path}: skipped 1 row(s) with missing declared fields (rows 7)"
+        assert rows[0].warnings == notice
+        assert all(row.warnings.endswith(notice) for row in rows)
+        assert not any("multi-threaded" in row.warnings for row in rows)
+
     def test_error_in_a_fit_group_child_is_raised_after_it_ends(
         self, tmp_path, monkeypatch, no_child_left
     ):
@@ -971,6 +997,26 @@ class TestCli:
             assert fields[0] == method
             got = [float(v) for v in fields[1:5]]
             assert got == [expected.mu_hat, expected.var_hat, expected.ci_low, expected.ci_high]
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_zero_survey_mean_gives_nan_relative_difference(self, tmp_path, monkeypatch, fmt):
+        # the survey's design-weighted outcome mean is exactly 0.0
+        monkeypatch.chdir(tmp_path)
+        write(tmp_path / "c.csv", "y,x1\n1.0,0.5\n2.0,-0.3\n0.5,1.2\n3.0,0.1\n")
+        write(tmp_path / "s.csv", "y,x1,w\n1,0.2,10\n-1,0.9,10\n0,-0.4,10\n")
+        argv = ESTIMATE_ARGV + ["--methods", "naive,alp", "--out", f"r.{fmt}"]
+        assert main(argv) == 0
+        text = (tmp_path / f"r.{fmt}").read_text()
+        if fmt == "json":
+            rows = json.loads(text)
+        else:
+            rows = list(csv.DictReader(text.splitlines()))
+        naive, alp = rows
+        assert naive["pct_rd"] == alp["pct_rd"] == (None if fmt == "json" else "nan")
+        assert naive["mse"] == (None if fmt == "json" else "")
+        # the squared error against the survey estimate, 0.0, is kept
+        estimate, variance = float(alp["estimate"]), float(alp["variance"])
+        assert float(alp["mse"]) == estimate**2 + variance
 
     def test_estimate_failure_is_machine_readable(self, tmp_path, capsys):
         code = main(

@@ -69,19 +69,21 @@ def flat_population(N=4000, seed=9):
     return generate_population(PopulationConfig(N=N, seed=seed))
 
 
+def covariate_free_population(N=4000):
+    """A population whose non-intercept covariates are all zero, so every
+    unit's participation rate is the link of the intercept alone."""
+    X = np.column_stack([np.ones(N), np.zeros((N, 4))])
+    return FinitePopulation(X=X, y=np.zeros(N), mu=0.0)
+
+
 class TestParticipationCalibration:
     def test_log_link_zero_slopes_closed_form(self):
-        pop = flat_population()
-        c = calibrate_participation_intercept(
-            pop, Scenario.LOG_LINK, 0.07, slopes=(0.0, 0.0, 0.0, 0.0)
-        )
+        c = calibrate_participation_intercept(covariate_free_population(), Scenario.LOG_LINK, 0.07)
         assert c == pytest.approx(np.log(0.07), abs=1e-9)
 
     def test_logit_link_zero_slopes_closed_form(self):
-        pop = flat_population()
-        c = calibrate_participation_intercept(
-            pop, Scenario.LOGIT_LINK, 0.07, slopes=(0.0, 0.0, 0.0, 0.0)
-        )
+        pop = covariate_free_population()
+        c = calibrate_participation_intercept(pop, Scenario.LOGIT_LINK, 0.07)
         assert c == pytest.approx(np.log(0.07 / 0.93), abs=1e-9)
 
     @pytest.mark.parametrize("scenario", [Scenario.LOG_LINK, Scenario.LOGIT_LINK])
@@ -107,7 +109,8 @@ def test_bracket_check_values_are_not_evaluated_again(monkeypatch):
     pop = flat_population()
     args = pop, Scenario.LOGIT_LINK, 0.05
     simulation._brentq(*simulation._intercept_equation(*args), math.inf)
-    ((_, means),) = pop.link_means.values()
+    assert list(pop.link_means) == [Scenario.LOGIT_LINK]
+    means = pop.link_means[Scenario.LOGIT_LINK]
     assert sorted(means) == [-40.0, 40.0]
 
     evaluated = []
@@ -127,24 +130,51 @@ def test_bracket_check_values_are_not_evaluated_again(monkeypatch):
 
 @pytest.mark.parametrize("scenario", [Scenario.LOG_LINK, Scenario.LOGIT_LINK])
 def test_participation_probabilities_read_the_root_search_memo(scenario):
-    """The probabilities take the linear predictor a root search kept, and
-    keep none themselves, so a slope sweep leaves no memo behind; their
-    bits are those of the direct product."""
+    """The probabilities take the linear predictor the root search made,
+    and their bits are those of the direct product; made first, by the
+    probabilities, the predictor gives the search the same root."""
     pop = flat_population()
     c = calibrate_participation_intercept(pop, scenario, 0.05)
-    ((eta, _),) = pop.link_means.values()
+    eta = pop.eta
     pi = participation_probabilities(pop, scenario, c)
-    assert list(pop.link_means.values())[0][0] is eta
+    assert pop.eta is eta and list(pop.link_means) == [scenario]
     direct = pop.X[:, 1:] @ np.asarray(simulation.PARTICIPATION_SLOPES, dtype=float)
     link = np.exp if scenario is Scenario.LOG_LINK else expit
     assert pi.tobytes() == link(c + direct).tobytes()
 
     fresh = flat_population()
     assert participation_probabilities(fresh, scenario, c).tobytes() == pi.tobytes()
-    for k in (1, 2):
-        participation_probabilities(fresh, scenario, c, [0.1 * k] * (pop.X.shape[1] - 1))
     assert fresh.link_means == {}
     assert calibrate_participation_intercept(fresh, scenario, 0.05) == c
+
+
+class CountingProducts(np.ndarray):
+    """A covariate matrix that counts the matrix products taken of it."""
+
+    products = 0
+
+    def __matmul__(self, other):
+        CountingProducts.products += 1
+        return np.asarray(self) @ other
+
+
+def test_one_linear_predictor_per_population(monkeypatch):
+    """Both scenarios' bracket checks, root searches and probabilities
+    share one ``X[:, 1:] @ PARTICIPATION_SLOPES`` product per population,
+    with the roots and probabilities of a plain one."""
+    monkeypatch.setattr(CountingProducts, "products", 0)
+    plain = flat_population()
+    pop = FinitePopulation(X=plain.X.view(CountingProducts), y=plain.y, mu=plain.mu)
+    for scenario in Scenario:
+        args = pop, scenario, 0.05
+        simulation._brentq(*simulation._intercept_equation(*args), math.inf)
+        c = calibrate_participation_intercept(*args)
+        cold = calibrate_participation_intercept(plain, scenario, 0.05)
+        assert float(c).hex() == float(cold).hex()
+        pi = participation_probabilities(pop, scenario, c)
+        assert pi.tobytes() == participation_probabilities(plain, scenario, c).tobytes()
+    assert CountingProducts.products == 1
+    assert list(pop.link_means) == list(Scenario)
 
 
 # The in-package root finder is checked against scipy's brentq, the
