@@ -19,10 +19,11 @@ runs, each in its own process:
   ``stratified`` and ``iid`` designs, on both surveys, writing a CSV and a
   JSON report, each with ``--dump-weights``;
 * ``pseudoweight simulate --replicates 40 --seed 1``;
-* ``pseudoweight simulate --config`` on two one-cell studies of 40
-  replicates, ``log`` at 0.05 and ``logit`` at 0.20: with fewer cells than
-  workers the cell is split, so forked workers run its root search from
-  the memo the calling process filled;
+* ``pseudoweight simulate --config`` on three one-cell studies of 40
+  replicates, ``log`` at 0.05 and ``logit`` at 0.20 with the default survey
+  fraction of 0.025, and ``log`` at 0.10 with a survey fraction of 0.05:
+  with fewer cells than workers the cell is split, so forked workers run
+  its root search from the memo the calling process filled;
 * the tree's own ``demos/`` scripts (the directory beside its ``src``),
   keeping their standard output, so a demo that follows an API change is
   compared by what it prints.
@@ -67,16 +68,22 @@ def _quoted(text, row, end):
     return "".join(line + end for line in lines)
 
 
-#: ``(scenario, f_c)`` of each one-cell study
-ONE_CELL_STUDIES = (("log", 0.05), ("logit", 0.20))
+#: run name -> ``(scenario, f_c, f_p)`` of each one-cell study
+ONE_CELL_STUDIES = {
+    "simulate-log": ("log", 0.05, 0.025),
+    "simulate-logit": ("logit", 0.20, 0.025),
+    "simulate-log-fp05": ("log", 0.10, 0.05),
+}
 
 
 def make_inputs(directory):
     """Write the input files, among them one ``simulate`` configuration per
     one-cell study; returns ``(name, cohort, survey)`` triples."""
-    for scenario, f_c in ONE_CELL_STUDIES:
-        config = {"scenarios": [scenario], "f_c_grid": [f_c], "replicates": 40, "base_seed": 1}
-        (directory / f"simulate-{scenario}.json").write_text(json.dumps(config))
+    for run, (scenario, f_c, f_p) in ONE_CELL_STUDIES.items():
+        config = {
+            "scenarios": [scenario], "f_c_grid": [f_c], "f_p": f_p, "replicates": 40, "base_seed": 1
+        }
+        (directory / f"{run}.json").write_text(json.dumps(config))
     spec = workloads.ESTIMATE_SPECS["estimate-clustered"]
     pairs = []
     for seed in SEEDS:
@@ -124,8 +131,7 @@ def commands(pairs, directory):
     out.append(("simulate", cli + [
         "simulate", "--replicates", "40", "--seed", "1", "--out", "simulate.csv",
     ]))
-    for scenario, _ in ONE_CELL_STUDIES:
-        run = f"simulate-{scenario}"
+    for run in ONE_CELL_STUDIES:
         config = str(directory / f"{run}.json")
         out.append((run, cli + ["simulate", "--config", config, "--out", f"{run}.csv"]))
     return out

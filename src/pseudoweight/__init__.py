@@ -52,8 +52,6 @@ from .samples import (
     SurveySample,
     WeightedEstimate,
     build_pooled_matrix,
-    default_lambda,
-    rdw_rescale_factor,
     validate_paired_samples,
 )
 from .simulation import (

@@ -185,7 +185,7 @@ def _study_arguments(cfg):
         )
         # the rate check every study cell makes, run before the first cell
         for f_c in study["f_c_grid"]:
-            ScenarioConfig(Scenario.LOG_LINK, f_c, study["f_p"])
+            ScenarioConfig(Scenario.LOG_LINK, f_c)
     except (TypeError, ValueError) as exc:
         raise PseudoweightError(f"invalid configuration: {exc}") from exc
     return study

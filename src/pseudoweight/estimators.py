@@ -45,16 +45,14 @@ from functools import cache, partial
 
 import numpy as np
 
-from .errors import DomainError, EmptyInputError, PseudoweightError
+from .errors import DomainError, EmptyInputError, PseudoweightError, RescaleError
 from .samples import (
     CohortSample,
     PropensityFit,
     SurveySample,
     WeightedEstimate,
     build_pooled_matrix,
-    default_lambda,
     pooled_rows,
-    rdw_rescale_factor,
     validate_paired_samples,
 )
 from .solvers import _inside_unit_interval, fit_clw_score, fit_pooled_logistic
@@ -112,19 +110,25 @@ def hajek_mean(y: np.ndarray, weights: np.ndarray) -> float:
 def fit_key(method: Method | str, cohort: CohortSample, survey: SurveySample):
     """The fit a :class:`Method`, or method name, needs: None for naive and
     tw, ``Method.CLW`` for the participation-score fit, or the pooled fit's
-    survey-weight multiplier (a float).  Methods with equal keys share one
-    fit; ``rdw``'s key raises :class:`RescaleError` when its factor would be
-    nonpositive."""
+    survey-weight multiplier: 1.0, ``n_c / sum(d)`` for ``alps`` and
+    ``(sum(d) - n_c) / sum(d)`` for ``rdw``.  Methods with equal keys share
+    one fit; ``rdw``'s key raises :class:`RescaleError` when nonpositive."""
     method = Method(method)
     if method in (Method.NAIVE, Method.TW):
         return None
     if method is Method.CLW:
         return Method.CLW
-    if method is Method.RDW:
-        return rdw_rescale_factor(cohort.n_c, survey.d)
+    if method not in (Method.RDW, Method.ALPS):
+        return 1.0  # alp and fdw
+    n_c, n_hat_p = cohort.n_c, float(np.sum(survey.d))
     if method is Method.ALPS:
-        return default_lambda(cohort.n_c, survey.d)
-    return 1.0  # alp and fdw
+        return n_c / n_hat_p
+    if n_c >= n_hat_p:
+        raise RescaleError(
+            f"cohort size {n_c} is not smaller than the survey-estimated "
+            f"population size {n_hat_p:.1f}; rescale factor would be nonpositive"
+        )
+    return (n_hat_p - n_c) / n_hat_p
 
 
 def fit_for_method(

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DesignError, RescaleError, ValidationError
+from .errors import DesignError, ValidationError
 
 
 class DesignKind(str, enum.Enum):
@@ -271,10 +271,9 @@ def validate_paired_samples(cohort: CohortSample, survey: SurveySample) -> None:
             v.append(f"nonpositive design weight at row {int(i)}")
         if bad.size > 20:
             v.append(f"... and {bad.size - 20} more nonpositive design weights")
-    if not np.all(cohort.X[:, 0] == 1.0):
-        v.append("cohort covariate matrix lacks an all-ones intercept in column 0")
-    if not np.all(survey.X[:, 0] == 1.0):
-        v.append("survey covariate matrix lacks an all-ones intercept in column 0")
+    for name, X in (("cohort", cohort.X), ("survey", survey.X)):
+        if X.shape[1] == 0 or not np.all(X[:, 0] == 1.0):
+            v.append(f"{name} covariate matrix lacks an all-ones intercept in column 0")
 
     design = survey.design
     if design.kind is DesignKind.STRATIFIED_WR:
@@ -317,26 +316,6 @@ class PooledMatrix:
         object.__setattr__(self, "w", _readonly(self.w))
 
 
-def rdw_rescale_factor(n_c: int, d: np.ndarray) -> float:
-    """Multiplier that makes the survey fit weights total ``sum(d) - n_c``.
-
-    Raises :class:`RescaleError` when the cohort is at least as large as the
-    estimated population, which would make the factor nonpositive.
-    """
-    n_hat_p = float(np.sum(d))
-    if n_c >= n_hat_p:
-        raise RescaleError(
-            f"cohort size {n_c} is not smaller than the survey-estimated "
-            f"population size {n_hat_p:.1f}; rescale factor would be nonpositive"
-        )
-    return (n_hat_p - n_c) / n_hat_p
-
-
-def default_lambda(n_c: int, d: np.ndarray) -> float:
-    """Scale constant that makes the survey fit weights total ``n_c``."""
-    return n_c / float(np.sum(d))
-
-
 def pooled_rows(cohort: CohortSample, survey: SurveySample):
     """The stacked covariates and membership indicators of a pooled fit,
     read-only, which every pooled fit of the same two samples can share."""
@@ -354,10 +333,9 @@ def build_pooled_matrix(
 ) -> PooledMatrix:
     """Stack the two samples for a membership logistic fit.
 
-    ``survey_weight_multiplier`` implements the per-unit multiplier rule:
-    1 for the plain pooled fit, :func:`rdw_rescale_factor` for the rescaled
-    fit, or a scale constant such as :func:`default_lambda` for scaled-weight
-    fitting.  ``rows``, the samples' :func:`pooled_rows`, is made if not given.
+    ``survey_weight_multiplier`` scales every survey weight; each pooled
+    method's multiplier is its :func:`~pseudoweight.estimators.fit_key`.
+    ``rows``, the samples' :func:`pooled_rows`, is made if not given.
     """
     if survey_weight_multiplier <= 0:
         raise ValueError("survey weight multiplier must be positive")

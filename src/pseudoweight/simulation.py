@@ -1,11 +1,12 @@
 """Monte Carlo study engine: population generation, calibrated sampling
 mechanisms, replicated estimation, and summary metrics.
 
-A single finite population is generated per study.  Within each grid cell
-(scenario x participation rate), unit-level participation probabilities and
-survey inclusion probabilities are calibrated, and every replicate then
-draws both samples independently, runs the requested estimators, and feeds a
-deterministic reduction.
+A single finite population and one survey design are made per study; the
+survey fraction, one for the whole study, is checked when the survey is
+calibrated.  Within each grid cell (scenario x participation rate),
+unit-level participation probabilities are calibrated, and every replicate
+then draws both samples independently, runs the requested estimators, and
+feeds a deterministic reduction.
 
 Seed discipline: replicate generators are spawned from the base seed with a
 counter key ``(scenario code, participation-rate key, replicate index)``, so
@@ -85,17 +86,17 @@ class PopulationConfig:
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """One simulation cell: mechanism and target sampling rates."""
+    """One simulation cell: mechanism and target participation rate."""
 
     scenario: Scenario
     f_c_target: float
-    f_p_target: float = 0.025
 
     def __post_init__(self):
         if not 0.0 < self.f_c_target < 1.0:
             raise ValueError("participation-rate target must lie in (0, 1)")
-        if not 0.0 < self.f_p_target < 1.0:
-            raise ValueError("survey sampling fraction must lie in (0, 1)")
+
+    def __str__(self):
+        return f"cell ({self.scenario.value}, f_c={self.f_c_target})"
 
 
 @dataclass(frozen=True)
@@ -263,15 +264,18 @@ def calibrate_participation_intercept(
     return intercept
 
 
-def calibrate_survey_const(population: FinitePopulation, f_p_target: float):
+def calibrate_survey_const(population: FinitePopulation, f_p: float):
     """Solve for the constant that fixes the survey size-variable spread.
 
     The size variable is ``const + x3 + c * y`` with ``c`` =
     :data:`SURVEY_OUTCOME_COEF`; its max/min ratio, strictly decreasing in
     ``const``, must equal :data:`SURVEY_WEIGHT_RATIO`.  The ratio equation
     is linear in ``const``, so the root is exact.  Returns the constant and
-    the survey inclusion probabilities ``n_p q / sum(q)`` capped at one.
+    the survey inclusion probabilities ``f_p N q / sum(q)`` capped at one; an
+    ``f_p`` outside (0, 1) raises :class:`InfeasibleTargetError`.
     """
+    if not 0.0 < f_p < 1.0:
+        raise InfeasibleTargetError("survey sampling fraction must lie in (0, 1)")
     t = population.X[:, 3] + SURVEY_OUTCOME_COEF * population.y
     if t.max() - t.min() <= 0.0:
         raise InfeasibleTargetError(
@@ -282,7 +286,7 @@ def calibrate_survey_const(population: FinitePopulation, f_p_target: float):
     q = const + t
     if q.min() <= 0:  # pragma: no cover - excluded by the algebra above
         raise InfeasibleTargetError("size variable would be nonpositive")
-    n_p = f_p_target * population.N
+    n_p = f_p * population.N
     pi_p = np.clip(n_p * q / q.sum(), 0.0, 1.0)
     return float(const), pi_p
 
@@ -346,8 +350,12 @@ def _for_cell(cell: ScenarioConfig, calibrate, population):
     try:
         return calibrate(population, cell.scenario, cell.f_c_target)
     except (InfeasibleTargetError, NonConvergenceError) as exc:
-        name = f"cell ({cell.scenario.value}, f_c={cell.f_c_target})"
-        raise CellInfeasibleError(f"{name} cannot be calibrated: {exc}") from exc
+        raise CellInfeasibleError(f"{cell} cannot be calibrated: {exc}") from exc
+
+
+def _seed_key(cell: ScenarioConfig) -> tuple:
+    """A cell's part of its replicates' counter key: scenario code, rate in 0.0001s."""
+    return 1 if cell.scenario is Scenario.LOG_LINK else 2, int(round(cell.f_c_target * 10_000))
 
 
 def _replicate(study: _Study, cell: ScenarioConfig, pi_c: np.ndarray, rep: int):
@@ -360,8 +368,7 @@ def _replicate(study: _Study, cell: ScenarioConfig, pi_c: np.ndarray, rep: int):
     excluded the replicate.  Weight vectors are not returned.
     """
     population = study.population
-    code = 1 if cell.scenario is Scenario.LOG_LINK else 2
-    key = (code, int(round(cell.f_c_target * 10_000)), rep)
+    key = (*_seed_key(cell), rep)
     rng = np.random.default_rng(np.random.SeedSequence(entropy=study.base_seed, spawn_key=key))
     inc_c = poisson_sample(pi_c, rng)
     inc_p = poisson_sample(study.pi_p, rng)
@@ -490,9 +497,10 @@ def run_monte_carlo(
     its propensity fit, or its weights and variance) is excluded from that
     method's aggregates and counted in ``n_excluded``; a method left with
     fewer than two replicates gets ``nan`` for every metric it reports.
-    Fewer than two ``replicates`` raise :class:`InsufficientReplicatesError`
-    and a method named twice :class:`PseudoweightError`, both before the
-    population is made.  A cell whose root bracket fails raises
+    Fewer than two ``replicates`` raise :class:`InsufficientReplicatesError`,
+    and a method named twice or two cells with one :func:`_seed_key`
+    :class:`PseudoweightError`, all before the population is made.  A cell
+    whose root bracket fails, or an ``f_p`` outside (0, 1), raises
     :class:`CellInfeasibleError` before any replicate runs; a root search
     failing in a worker raises it once every worker has ended.
 
@@ -504,8 +512,12 @@ def run_monte_carlo(
     if replicates < 2:
         raise InsufficientReplicatesError("need at least two replicates for a variance")
     methods = _distinct_methods(methods)
+    cells = [ScenarioConfig(Scenario(s), float(f_c)) for s in scenarios for f_c in f_c_grid]
+    for cell in cells:
+        first = next(c for c in cells if _seed_key(c) == _seed_key(cell))
+        if first is not cell:
+            raise PseudoweightError(f"{first} and {cell} would draw the same replicates")
     population = generate_population(population_config)
-    cells = [ScenarioConfig(Scenario(s), float(f_c), f_p) for s in scenarios for f_c in f_c_grid]
     for cell in cells:  # Brent's method checks its bracket, then stops at this tolerance
         _for_cell(cell, lambda *args: _brentq(*_intercept_equation(*args), math.inf), population)
     try:

@@ -38,7 +38,6 @@ from pseudoweight import (
     Scenario,
     SurveySample,
     build_pooled_matrix,
-    default_lambda,
     design_variance_poisson,
     design_variance_stratified,
     estimate_from_fit,
@@ -46,12 +45,12 @@ from pseudoweight import (
     fit_pooled_logistic,
     generate_population,
     hajek_mean,
-    rdw_rescale_factor,
     run_monte_carlo,
     tl_variance,
 )
 from pseudoweight import simulation
 from pseudoweight.cli import main
+from pseudoweight.estimators import fit_key
 
 from oracles import coverage_se, hand_fit, paired_variance_ratio, score_at
 
@@ -406,9 +405,13 @@ def test_criterion_07_closed_form_weight_invariants():
         n_c = int(rng.integers(2, 20))
         d = rng.uniform(1.0, 9.0, int(rng.integers(3, 25)))
         if n_c < d.sum():
-            factor = rdw_rescale_factor(n_c, d)
+            cohort = CohortSample(y=np.zeros(n_c), X=np.ones((n_c, 1)))
+            survey = SurveySample(X=np.ones((d.size, 1)), d=d)
+            factor = fit_key(Method.RDW, cohort, survey)
+            ok &= factor == (d.sum() - n_c) / d.sum()
             ok &= abs((factor * d).sum() - (d.sum() - n_c)) <= 1e-12
-            lam = default_lambda(n_c, d)
+            lam = fit_key(Method.ALPS, cohort, survey)
+            ok &= lam == n_c / d.sum()
             ok &= abs((lam * d).sum() - n_c) <= 1e-12
     assert report("07", ok, "weight formulas, ratio invariance, rescale identities"), ok
 

@@ -13,13 +13,11 @@ from pseudoweight import (
     RescaleError,
     SurveySample,
     ValidationError,
-    default_lambda,
     estimate,
     estimate_each,
     estimate_from_fit,
     fit_for_method,
     hajek_mean,
-    rdw_rescale_factor,
 )
 
 from oracles import hand_fit, pseudo_weights
@@ -321,8 +319,9 @@ class TestEstimateEach:
         assert keys[Method.NAIVE] is None and keys[Method.TW] is None
         assert keys[Method.CLW] is Method.CLW
         assert keys[Method.ALP] == keys[Method.FDW] == 1.0
-        assert keys[Method.RDW] == rdw_rescale_factor(cohort.n_c, survey.d)
-        assert keys[Method.ALPS] == default_lambda(cohort.n_c, survey.d)
+        total = survey.d.sum()
+        assert keys[Method.RDW] == (total - cohort.n_c) / total
+        assert keys[Method.ALPS] == cohort.n_c / total
         assert all(type(keys[m]) is float for m in (Method.ALP, Method.RDW, Method.ALPS))
 
     @pytest.mark.parametrize("method", [m for m in Method if m not in (Method.NAIVE, Method.TW)])

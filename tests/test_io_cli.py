@@ -1174,6 +1174,12 @@ class TestCli:
             (["simulate"], '{"scenarios": ["loglog"]}', 1, "'loglog' is not a valid Scenario"),
             (["simulate"], '{"methods": ["alp", "xyz"]}', 1, "'xyz' is not a valid Method"),
             (["simulate"], '{"f_c_grid": [0.05, 1.5]}', 1, "rate target must lie in (0, 1)"),
+            (
+                ["simulate"],
+                '{"f_c_grid": [0.05, 0.05004]}',
+                1,
+                "cell (log, f_c=0.05) and cell (log, f_c=0.05004) would draw the same replicates",
+            ),
             (["simulate"], '{"scenarios": "log"}', 1, "'scenarios' must be a list, not str"),
             (["simulate"], '{"methods": "alp"}', 1, "'methods' must be a list, not str"),
             (["simulate", "--population-size", "10"], None, 1, "population size below 1000"),
@@ -1187,6 +1193,7 @@ class TestCli:
             "unknown-scenario",
             "unknown-method",
             "rate-outside-unit-interval",
+            "cells-with-one-seed-key",
             "scenarios-not-a-list",
             "methods-not-a-list",
             "tiny-population",
@@ -1211,6 +1218,19 @@ class TestCli:
             assert json.loads(err)["error"] == "PseudoweightError"
             assert err.count("\n") == 1
         assert not (tmp_path / "r.csv").exists()
+
+    def test_survey_fraction_outside_the_unit_interval_fails_the_study(self, tmp_path, capsys):
+        cfg_path = write(tmp_path / "sim.json", json.dumps({"f_p": 1.5}))
+        out = tmp_path / "r.csv"
+        assert main(["simulate", "--config", cfg_path, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert json.loads(err) == {
+            "error": "CellInfeasibleError",
+            "message": "the survey cannot be calibrated: "
+            "survey sampling fraction must lie in (0, 1)",
+        }
+        assert not out.exists()
 
     def test_simulate_deterministic_reports(self, tmp_path):
         cfg = {

@@ -8,14 +8,15 @@ from pseudoweight import (
     DesignError,
     DesignInfo,
     DesignKind,
+    Method,
     RescaleError,
     SurveySample,
     ValidationError,
     build_pooled_matrix,
-    default_lambda,
-    rdw_rescale_factor,
+    estimate,
     validate_paired_samples,
 )
+from pseudoweight.estimators import fit_key
 
 
 def make_cohort(n=3, p_extra=2, seed=0):
@@ -28,6 +29,13 @@ def make_survey(n=4, p_extra=2, seed=1, **kwargs):
     rng = np.random.default_rng(seed)
     X = np.column_stack([np.ones(n)] + [rng.normal(size=n) for _ in range(p_extra)])
     return SurveySample(X=X, d=rng.uniform(1.5, 4.0, n), **kwargs)
+
+
+def pooled_key(method, n_c, d):
+    """The :func:`fit_key` of a pooled ``method`` for a cohort of ``n_c``
+    units and survey weights ``d``, both intercept-only."""
+    cohort = CohortSample(y=np.zeros(n_c), X=np.ones((n_c, 1)))
+    return fit_key(method, cohort, SurveySample(X=np.ones((len(d), 1)), d=d))
 
 
 class TestContainers:
@@ -110,6 +118,18 @@ class TestValidation:
         found = violations(bad, make_survey())
         assert any("intercept" in v for v in found)
 
+    def test_matrices_without_columns_lack_the_intercept(self):
+        cohort = CohortSample(y=np.ones(3), X=np.empty((3, 0)))
+        survey = SurveySample(X=np.empty((4, 0)), d=np.full(4, 5.0))
+        expected = [
+            f"{name} covariate matrix lacks an all-ones intercept in column 0"
+            for name in ("cohort", "survey")
+        ]
+        assert list(violations(cohort, survey)) == expected
+        with pytest.raises(ValidationError) as err:
+            estimate(Method.ALP, cohort, survey)
+        assert list(err.value.violations) == expected
+
 
 class TestPooledMatrix:
     def test_identity_rule_layout(self):
@@ -132,8 +152,8 @@ class TestPooledMatrix:
     def test_rdw_rule_scales_by_out_of_cohort_share(self):
         # survey weight total 200 with a 50-unit cohort: factor 150/200
         survey = SurveySample(X=np.ones((4, 1)), d=np.full(4, 50.0))
-        factor = rdw_rescale_factor(50, survey.d)
-        assert factor == pytest.approx(0.75)
+        factor = pooled_key(Method.RDW, 50, survey.d)
+        assert factor == (survey.d.sum() - 50) / survey.d.sum() == 0.75
         cohort = CohortSample(y=np.zeros(50), X=np.ones((50, 1)))
         pooled = build_pooled_matrix(cohort, survey, factor)
         np.testing.assert_allclose(pooled.w[50:], 50.0 * 0.75)
@@ -145,24 +165,30 @@ class TestPooledMatrix:
             d = rng.uniform(1.0, 9.0, int(rng.integers(3, 30)))
             if n_c >= d.sum():
                 continue
-            factor = rdw_rescale_factor(n_c, d)
+            factor = pooled_key(Method.RDW, n_c, d)
+            assert factor == (d.sum() - n_c) / d.sum()
             assert (factor * d).sum() == pytest.approx(d.sum() - n_c, abs=1e-12)
 
     def test_rdw_rescale_error_when_cohort_too_large(self):
-        with pytest.raises(RescaleError):
-            rdw_rescale_factor(250, np.full(4, 50.0))
+        with pytest.raises(RescaleError) as err:
+            pooled_key(Method.RDW, 250, np.full(4, 50.0))
+        assert str(err.value) == (
+            "cohort size 250 is not smaller than the survey-estimated population "
+            "size 200.0; rescale factor would be nonpositive"
+        )
 
     def test_lambda_rule_survey_weight_total_is_cohort_size(self):
         rng = np.random.default_rng(8)
         d = rng.uniform(1.0, 30.0, 17)
-        lam = default_lambda(12, d)
+        lam = pooled_key(Method.ALPS, 12, d)
+        assert lam == 12 / d.sum()
         assert (lam * d).sum() == pytest.approx(12.0, abs=1e-12)
 
     def test_quarter_lambda_example(self):
         # lambda = n_c / sum(d) = 0.25 scales every survey weight by 0.25
         d = np.full(4, 50.0)  # total 200, cohort of 50
-        lam = default_lambda(50, d)
-        assert lam == pytest.approx(0.25)
+        lam = pooled_key(Method.ALPS, 50, d)
+        assert lam == 50 / d.sum() == 0.25
         survey = SurveySample(X=np.ones((4, 1)), d=d)
         cohort = CohortSample(y=np.zeros(50), X=np.ones((50, 1)))
         pooled = build_pooled_matrix(cohort, survey, lam)

@@ -346,6 +346,13 @@ class TestSurveyCalibration:
         _, pi_p = calibrate_survey_const(pop, 0.025)
         assert pi_p.sum() == pytest.approx(0.025 * pop.N, rel=1e-9)
 
+    @pytest.mark.parametrize("f_p", [1.5, 1.0, 0.0, -0.1, math.nan])
+    def test_fraction_outside_the_unit_interval_rejected(self, f_p):
+        # a fraction of 1.5 would otherwise clip two thirds of these units to certainty
+        pop = flat_population(N=3000)
+        with pytest.raises(InfeasibleTargetError, match=r"sampling fraction must lie in \(0, 1\)"):
+            calibrate_survey_const(pop, f_p)
+
 
 class TestPoissonSampling:
     def test_certainty_selects_all(self):
@@ -813,6 +820,45 @@ def test_repeated_method_is_rejected_before_the_population_is_made(monkeypatch):
         run_monte_carlo(**study)
     assert type(info.value) is PseudoweightError
     assert made == []
+
+
+@pytest.mark.parametrize(
+    "overrides, first, second",
+    [
+        (dict(scenarios=("log",), f_c_grid=(0.05, 0.05)), 0.05, 0.05),
+        (dict(scenarios=("log", "log")), 0.05, 0.05),
+        (dict(scenarios=("log",), f_c_grid=(0.05, 0.05004)), 0.05, 0.05004),
+    ],
+    ids=["repeated-rate", "repeated-scenario", "rates-one-seed-key-apart"],
+)
+def test_cells_with_one_seed_key_are_rejected_before_the_population(
+    monkeypatch, overrides, first, second
+):
+    # such cells would draw the same replicates and write the same rows
+    made = []
+    monkeypatch.setattr(simulation, "generate_population", made.append)
+    with pytest.raises(PseudoweightError) as info:
+        run_monte_carlo(**small_grid(**overrides))
+    assert type(info.value) is PseudoweightError
+    assert str(info.value) == (
+        f"cell (log, f_c={first}) and cell (log, f_c={second}) would draw the same replicates"
+    )
+    assert made == []
+
+
+@pytest.mark.parametrize("f_p", [0.0, 1.5, math.nan])
+@pytest.mark.parametrize("overrides", [{}, dict(f_c_grid=())], ids=["default-grid", "no-cells"])
+def test_survey_fraction_outside_the_unit_interval_is_rejected(monkeypatch, f_p, overrides):
+    def no_replicate(*args):
+        raise AssertionError("a replicate ran before the survey was calibrated")
+
+    monkeypatch.setattr(simulation, "_replicate", no_replicate)
+    study = dict(population_config=PopulationConfig(N=3000, seed=17), replicates=3, f_p=f_p)
+    with pytest.raises(CellInfeasibleError) as info:
+        run_monte_carlo(**study, **overrides)
+    assert str(info.value) == (
+        "the survey cannot be calibrated: survey sampling fraction must lie in (0, 1)"
+    )
 
 
 @pytest.mark.parametrize("cpus", [1, 2])
