@@ -171,6 +171,10 @@ def _study_arguments(cfg):
                 f"invalid configuration: {key!r} must be a list, "
                 f"not {type(cfg[key]).__name__}"
             )
+    for key in ("population_size", "population_seed", "replicates", "base_seed"):
+        # a whole float such as 1e3 counts; nan % 1 and inf % 1 are nan, so neither does
+        if isinstance(v := cfg[key], bool) or not isinstance(v, (int, float)) or v % 1:
+            raise PseudoweightError(f"invalid configuration: {key!r} must be an integer, not {v!r}")
     try:
         study = dict(
             population_config=PopulationConfig(

@@ -13,10 +13,10 @@ counter key ``(scenario code, participation-rate key, replicate index)``, so
 any cell or replicate can be reproduced in isolation.  The engine relies on
 that: the calling process makes the population, checks every cell's root
 bracket and solves the survey's constant; forked workers then calibrate,
-draw and estimate whole cells, each taking the costliest cell left whenever
-it is free (a cell is split only when workers outnumber cells), and the
-calling process reduces their results in replicate order, so the report does
-not depend on the number of workers.
+draw and estimate whole cells, each worker a fixed share of them dealt by
+estimated cost (a cell is split only when workers outnumber cells), and the
+calling process reduces their results in replicate order, so the report
+does not depend on the number of workers.
 
 Both scenarios' links take one linear predictor, ``X[:, 1:] @``
 :data:`PARTICIPATION_SLOPES`, made once per population, and each keeps the
@@ -46,7 +46,7 @@ from .errors import (
     PseudoweightError,
 )
 from .estimators import Method, _distinct_methods, estimate_each
-from .parallel import _fork_queue, _usable_cpus
+from .parallel import _fork_map, _usable_cpus
 from .samples import CohortSample, DesignInfo, DesignKind, SurveySample
 
 #: Slope coefficients of the participation models, shared by both scenarios.
@@ -271,8 +271,9 @@ def calibrate_survey_const(population: FinitePopulation, f_p: float):
     :data:`SURVEY_OUTCOME_COEF`; its max/min ratio, strictly decreasing in
     ``const``, must equal :data:`SURVEY_WEIGHT_RATIO`.  The ratio equation
     is linear in ``const``, so the root is exact.  Returns the constant and
-    the survey inclusion probabilities ``f_p N q / sum(q)`` capped at one; an
-    ``f_p`` outside (0, 1) raises :class:`InfeasibleTargetError`.
+    the survey inclusion probabilities ``f_p N q / sum(q)``.  An ``f_p``
+    outside (0, 1), or above ``mean(q) / max(q)`` (a probability above one),
+    raises :class:`InfeasibleTargetError`.
     """
     if not 0.0 < f_p < 1.0:
         raise InfeasibleTargetError("survey sampling fraction must lie in (0, 1)")
@@ -286,8 +287,12 @@ def calibrate_survey_const(population: FinitePopulation, f_p: float):
     q = const + t
     if q.min() <= 0:  # pragma: no cover - excluded by the algebra above
         raise InfeasibleTargetError("size variable would be nonpositive")
-    n_p = f_p * population.N
-    pi_p = np.clip(n_p * q / q.sum(), 0.0, 1.0)
+    pi_p = f_p * population.N * q / q.sum()
+    if pi_p.max() > 1.0:
+        raise InfeasibleTargetError(
+            f"survey sampling fraction {f_p} would take units with certainty; "
+            f"it must not exceed mean(q)/max(q) = {q.mean() / q.max():.4g} here"
+        )
     return float(const), pi_p
 
 
@@ -395,29 +400,39 @@ def _run_cell(study: _Study, cell: ScenarioConfig, reps: range):
 
 
 def _pieces(costs, replicates: int, workers: int):
-    """Cells of estimated ``costs`` as ``(cell, replicate range)`` pieces,
-    costliest first: whole cells, unless workers outnumber cells, when each
-    cell is cut into the fewest pieces that give every worker one (piece
-    ``k`` of ``n`` holding replicates ``k, k + n, ...``)."""
+    """``workers`` shares of ``(cell, replicate range)`` pieces: whole cells,
+    unless workers outnumber cells, when each cell is cut into the fewest
+    pieces that give every worker one (piece ``k`` of ``n`` holds replicates
+    ``k, k + n, ...`` and costs ``1/n`` of the cell's estimated ``costs``).
+    Pieces are dealt costliest first, each to the first share with the least
+    estimated cost so far."""
     n = min(replicates, -(-workers // max(len(costs), 1)))
-    order = sorted(range(len(costs)), key=lambda c: -costs[c])
-    return [(c, range(k, replicates, n)) for c in order for k in range(n)]
+    shares, loads = [[] for _ in range(workers)], [0.0] * workers
+    for c in sorted(range(len(costs)), key=lambda c: -costs[c]):
+        for k in range(n):
+            s = loads.index(min(loads))
+            shares[s].append((c, range(k, replicates, n)))
+            loads[s] += costs[c] / n
+    return shares
 
 
 def _run_replicates(study: _Study, cells, replicates: int):
-    """Every cell's replicate outcomes, in order.  One worker per usable CPU
-    (at most one per replicate) takes the next of the :func:`_pieces` as it
-    becomes free; with more than one, each runs in a forked child while this
-    process only waits."""
+    """Every cell's replicate outcomes, in order, from one :func:`_pieces`
+    share per usable CPU (at most one per replicate); with two or more, each
+    share runs in a forked child while this process only waits."""
     workers = min(_usable_cpus(), len(cells) * replicates)
     # in replicates of an empty cohort; a root search costs 0.3 (log) or 1.5 (logit)
     search = {Scenario.LOG_LINK: 0.3, Scenario.LOGIT_LINK: 1.5}
     costs = [search[c.scenario] + replicates * (1.0 + 7.0 * c.f_c_target) for c in cells]
-    pieces = _pieces(costs, replicates, workers)
-    done = _fork_queue(lambda piece: _run_cell(study, cells[piece[0]], piece[1]), pieces, workers)
+    shares = _pieces(costs, replicates, workers)
+
+    def run_share(share):
+        return [_run_cell(study, cells[c], reps) for c, reps in share]
+
     outcomes = [[None] * replicates for _ in cells]
-    for (c, reps), piece in zip(pieces, done):
-        outcomes[c][reps.start :: reps.step] = piece
+    for share, done in zip(shares, _fork_map(run_share, shares, workers, here=False)):
+        for (c, reps), piece in zip(share, done):
+            outcomes[c][reps.start :: reps.step] = piece
     return outcomes
 
 
@@ -500,9 +515,9 @@ def run_monte_carlo(
     Fewer than two ``replicates`` raise :class:`InsufficientReplicatesError`,
     and a method named twice or two cells with one :func:`_seed_key`
     :class:`PseudoweightError`, all before the population is made.  A cell
-    whose root bracket fails, or an ``f_p`` outside (0, 1), raises
-    :class:`CellInfeasibleError` before any replicate runs; a root search
-    failing in a worker raises it once every worker has ended.
+    whose root bracket fails, or an ``f_p`` :func:`calibrate_survey_const`
+    rejects, raises :class:`CellInfeasibleError` before any replicate runs;
+    a root search failing in a worker raises it once every worker has ended.
 
     On Linux, cells run in one forked process per usable CPU, capped at the
     number of replicates in the grid; with one CPU, or on other platforms,

@@ -96,6 +96,14 @@ def coverage_se(cp, B):
     return math.sqrt(cp * (1.0 - cp) / B)
 
 
+def bias_se(v_emp, B):
+    """The Monte Carlo standard error of a bias estimated from ``B``
+    replicates of empirical variance ``v_emp``: ``sqrt(v_emp / B)`` (Morris,
+    White and Crowther 2019, table 6); ``100 bias_se / |mu|`` puts it in
+    %RB units."""
+    return math.sqrt(v_emp / B)
+
+
 def paired_variance_ratio(a, b):
     """The ratio ``v(a)/v(b)`` of two estimators' empirical variances over
     the same replicates, and its Monte Carlo standard error by the delta

@@ -939,6 +939,12 @@ ESTIMATE_ARGV = [
 ]
 
 
+def tiny_study(**overrides):
+    """A one-cell ``simulate`` configuration, as JSON, that runs in well under a second."""
+    cfg = {"population_size": 1000, "scenarios": ["log"], "f_c_grid": [0.05], "replicates": 2}
+    return json.dumps(cfg | overrides)
+
+
 class TestCli:
     def test_estimate_end_to_end(self, tmp_path):
         cohort_path, survey_path, y = self_paired_files(tmp_path)
@@ -1183,6 +1189,26 @@ class TestCli:
             (["simulate"], '{"scenarios": "log"}', 1, "'scenarios' must be a list, not str"),
             (["simulate"], '{"methods": "alp"}', 1, "'methods' must be a list, not str"),
             (["simulate", "--population-size", "10"], None, 1, "population size below 1000"),
+            # counts and seeds are whole numbers, never truncated ones
+            (["simulate"], tiny_study(base_seed=1.7), 1, "'base_seed' must be an integer, not 1.7"),
+            (
+                ["simulate"],
+                tiny_study(population_size=2500.9),
+                1,
+                "'population_size' must be an integer, not 2500.9",
+            ),
+            (
+                ["simulate"],
+                tiny_study(replicates="40"),
+                1,
+                "'replicates' must be an integer, not '40'",
+            ),
+            (
+                ["simulate"],
+                tiny_study(population_seed=True),
+                1,
+                "'population_seed' must be an integer, not True",
+            ),
         ],
         ids=[
             "estimate-tw",
@@ -1197,6 +1223,10 @@ class TestCli:
             "scenarios-not-a-list",
             "methods-not-a-list",
             "tiny-population",
+            "fractional-base-seed",
+            "fractional-population-size",
+            "string-replicates",
+            "boolean-population-seed",
         ],
     )
     def test_failure_prints_no_traceback(
@@ -1231,6 +1261,29 @@ class TestCli:
             "survey sampling fraction must lie in (0, 1)",
         }
         assert not out.exists()
+
+    def test_survey_fraction_taking_units_with_certainty_fails_the_study(self, tmp_path, capsys):
+        cfg_path = write(tmp_path / "sim.json", tiny_study(population_size=50_000, f_p=0.5))
+        out = tmp_path / "r.csv"
+        assert main(["simulate", "--config", cfg_path, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert json.loads(err) == {
+            "error": "CellInfeasibleError",
+            "message": "the survey cannot be calibrated: survey sampling fraction 0.5 would take "
+            "units with certainty; it must not exceed mean(q)/max(q) = 0.1514 here",
+        }
+        assert not out.exists()
+
+    def test_whole_float_counts_and_seeds_are_accepted(self, tmp_path):
+        # JSON's 1e3 is a float; a whole one reads as the integer it names
+        reports = []
+        for cfg in (tiny_study(base_seed=3), tiny_study(base_seed=3.0, population_size=1e3)):
+            out = tmp_path / f"r{len(reports)}.csv"
+            argv = ["simulate", "--config", write(tmp_path / "sim.json", cfg), "--out", str(out)]
+            assert main(argv) == 0
+            reports.append(out.read_bytes())
+        assert reports[0] == reports[1]
 
     def test_simulate_deterministic_reports(self, tmp_path):
         cfg = {

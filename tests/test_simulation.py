@@ -1,3 +1,4 @@
+import collections
 import functools
 import math
 import os
@@ -352,6 +353,18 @@ class TestSurveyCalibration:
         pop = flat_population(N=3000)
         with pytest.raises(InfeasibleTargetError, match=r"sampling fraction must lie in \(0, 1\)"):
             calibrate_survey_const(pop, f_p)
+
+    def test_fraction_taking_units_with_certainty_rejected(self):
+        # on the desk population mean(q)/max(q) is 0.1514: at 0.2 five units
+        # would be taken with certainty, and the weight ratio would not be 20
+        desk = generate_population(PopulationConfig(N=50_000, seed=2468))
+        with pytest.raises(InfeasibleTargetError, match=r"mean\(q\)/max\(q\) = 0\.1514"):
+            calibrate_survey_const(desk, 0.2)
+        const, pi_p = calibrate_survey_const(desk, 0.15)
+        q = const + desk.X[:, 3] + 0.03 * desk.y
+        assert pi_p.max() <= 1.0
+        assert pi_p.sum() == pytest.approx(0.15 * desk.N, rel=1e-9)
+        assert q.max() / q.min() == pytest.approx(20.0, abs=1e-6)
 
 
 class TestPoissonSampling:
@@ -732,17 +745,6 @@ class TestReplicateEngine:
                 assert got == [(i, i * i) for i in items]
         assert parallel._fork_map(abs, [], 4) == []
 
-    def test_fork_queue_runs_each_item_once_in_a_child(self, no_child_left):
-        parent, items = os.getpid(), list(range(11))
-        for workers in (1, 2, 3, 20):
-            got = parallel._fork_queue(lambda i: (i * i, os.getpid()), items, workers)
-            assert [square for square, _ in got] == [i * i for i in items]
-            pids = {pid for _, pid in got}
-            assert pids == {parent} if workers == 1 else parent not in pids
-        # a failing item stops only its child; the error comes after every child ends
-        with pytest.raises(ZeroDivisionError):
-            parallel._fork_queue(lambda i: 1 / (i - 3), items, 3)
-
     def test_uncalibratable_cell_raises_before_any_replicate(self, monkeypatch, forks):
         def no_replicate(*args):
             raise AssertionError("a replicate ran before every cell was calibrated")
@@ -778,25 +780,30 @@ WHOLE = range(5)
 @pytest.mark.parametrize(
     "costs, replicates, workers, expected",
     [
-        # no more workers than cells: whole cells, costliest first
-        ([1.0, 4.0, 2.0, 3.0], 5, 1, [(1, WHOLE), (3, WHOLE), (2, WHOLE), (0, WHOLE)]),
-        ([1.0, 4.0, 2.0, 3.0], 5, 4, [(1, WHOLE), (3, WHOLE), (2, WHOLE), (0, WHOLE)]),
+        # no more workers than cells: whole cells, costliest first, each
+        # to the share with the least estimated cost so far
+        ([1.0, 4.0, 2.0, 3.0], 5, 1, [[(1, WHOLE), (3, WHOLE), (2, WHOLE), (0, WHOLE)]]),
+        ([1.0, 4.0, 2.0, 3.0], 5, 4, [[(1, WHOLE)], [(3, WHOLE)], [(2, WHOLE)], [(0, WHOLE)]]),
         # more workers than cells: every cell cut into interleaved replicates
         (
             [1.0, 4.0],
             5,
             3,
-            [(1, range(0, 5, 2)), (1, range(1, 5, 2)), (0, range(0, 5, 2)), (0, range(1, 5, 2))],
+            [
+                [(1, range(0, 5, 2))],
+                [(1, range(1, 5, 2))],
+                [(0, range(0, 5, 2)), (0, range(1, 5, 2))],
+            ],
         ),
         (
             [1.0, 4.0],
             5,
             8,
-            [(1, range(k, 5, 4)) for k in range(4)] + [(0, range(k, 5, 4)) for k in range(4)],
+            [[(1, range(k, 5, 4))] for k in range(4)] + [[(0, range(k, 5, 4))] for k in range(4)],
         ),
         # never into more pieces than a cell has replicates
-        ([1.0, 9.0], 2, 6, [(c, range(k, 2, 2)) for c in (1, 0) for k in range(2)]),
-        # an empty grid has no pieces, whatever the worker count
+        ([1.0, 9.0], 2, 6, [[(c, range(k, 2, 2))] for c in (1, 0) for k in range(2)] + [[], []]),
+        # an empty grid has no shares, whatever the worker count
         ([], 5, 0, []),
     ],
     ids=[
@@ -805,12 +812,37 @@ WHOLE = range(5)
     ],
 )
 def test_pieces_are_whole_cells_unless_workers_outnumber_them(costs, replicates, workers, expected):
-    pieces = simulation._pieces(costs, replicates, workers)
-    assert pieces == expected
+    shares = simulation._pieces(costs, replicates, workers)
+    assert shares == expected
     # every replicate of every cell is in exactly one piece
-    covered = sorted((c, rep) for c, reps in pieces for rep in reps)
+    covered = sorted((c, rep) for share in shares for c, reps in share for rep in reps)
     assert covered == [(c, rep) for c in range(len(costs)) for rep in range(replicates)]
 
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    costs=st.lists(st.floats(0.1, 100.0), max_size=12),
+    replicates=st.integers(2, 20),
+    cpus=st.integers(1, 64),
+)
+def test_pieces_deal_balanced_shares(costs, replicates, cpus):
+    # no fork: the shares are checked as _run_replicates would hand them out,
+    # one worker per CPU and at most one per replicate
+    workers = min(cpus, len(costs) * replicates)
+    shares = simulation._pieces(costs, replicates, workers)
+    assert len(shares) == workers  # none for an empty grid
+    assert all(shares)  # no worker idles
+    covered = sorted((c, rep) for share in shares for c, reps in share for rep in reps)
+    assert covered == [(c, rep) for c in range(len(costs)) for rep in range(replicates)]
+    # a piece costs its cell's cost over the number of pieces of that cell
+    cuts = collections.Counter(c for share in shares for c, _ in share)
+    piece_costs = [[costs[c] / cuts[c] for c, _ in share] for share in shares]
+    for share in piece_costs:
+        assert share == sorted(share, reverse=True)
+    if costs:
+        loads = [sum(share) for share in piece_costs]
+        costliest = max(cost for share in piece_costs for cost in share)
+        assert max(loads) - min(loads) <= costliest * (1 + 1e-9)
 
 def test_repeated_method_is_rejected_before_the_population_is_made(monkeypatch):
     made = []
@@ -859,6 +891,15 @@ def test_survey_fraction_outside_the_unit_interval_is_rejected(monkeypatch, f_p,
     assert str(info.value) == (
         "the survey cannot be calibrated: survey sampling fraction must lie in (0, 1)"
     )
+
+
+def test_survey_fraction_taking_units_with_certainty_is_rejected(monkeypatch):
+    def no_replicate(*args):
+        raise AssertionError("a replicate ran before the survey was calibrated")
+
+    monkeypatch.setattr(simulation, "_replicate", no_replicate)
+    with pytest.raises(CellInfeasibleError, match="the survey cannot be calibrated: .*certainty"):
+        run_monte_carlo(**small_grid(f_p=0.5))
 
 
 @pytest.mark.parametrize("cpus", [1, 2])
